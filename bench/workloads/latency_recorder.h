@@ -1,12 +1,12 @@
-// Per-thread latency capture with percentile extraction for the serving
-// benchmarks. A bounded ring keeps the most recent `capacity` samples (the
-// steady-state window of a serving run); Record() is single-threaded, one
-// recorder per client thread, merged after the threads join. Not a
-// concurrent type: Record/Merge/PercentileNs all belong to one thread at a
-// time.
+// Per-thread latency capture with percentile extraction for the load
+// driver (workloads/load_driver.h). A bounded ring keeps the most recent
+// `capacity` samples (the steady-state window of a serving run); Record()
+// is single-threaded, one recorder per client thread, merged after the
+// threads join. Not a concurrent type: Record/Merge/PercentileNs all
+// belong to one thread at a time.
 
-#ifndef WAZI_SERVE_LATENCY_RECORDER_H_
-#define WAZI_SERVE_LATENCY_RECORDER_H_
+#ifndef WAZI_BENCH_WORKLOADS_LATENCY_RECORDER_H_
+#define WAZI_BENCH_WORKLOADS_LATENCY_RECORDER_H_
 
 #include <algorithm>
 #include <cmath>
@@ -14,7 +14,7 @@
 #include <cstdint>
 #include <vector>
 
-namespace wazi::serve {
+namespace wazi::bench::workloads {
 
 class LatencyRecorder {
  public:
@@ -98,6 +98,6 @@ class LatencyRecorder {
   mutable bool sorted_valid_ = false;
 };
 
-}  // namespace wazi::serve
+}  // namespace wazi::bench::workloads
 
-#endif  // WAZI_SERVE_LATENCY_RECORDER_H_
+#endif  // WAZI_BENCH_WORKLOADS_LATENCY_RECORDER_H_

@@ -12,7 +12,6 @@
 // collision would make remove-old-position ambiguous.
 
 #include <algorithm>
-#include <atomic>
 #include <string>
 #include <vector>
 
@@ -79,7 +78,7 @@ class MovingObjectsScenario : public Scenario {
  protected:
   void Drive(const ScenarioConfig& cfg, RunContext& ctx,
              std::vector<PhaseResult>* phases,
-             std::vector<std::string>* failures) const override {
+             std::vector<std::string>*) const override {
     const size_t n = ctx.data->points.size();
     const int threads = cfg.client_threads();
     // Thread t owns objects [t*n/T, (t+1)*n/T): all updates to one
@@ -87,11 +86,10 @@ class MovingObjectsScenario : public Scenario {
     // position is well-defined.
     positions_ = ctx.data->points;
     std::vector<size_t> cursor(static_cast<size_t>(threads), 0);
-    auto writes = std::make_shared<std::atomic<int64_t>>(0);
     const std::vector<Rect>& queries = ctx.workload->queries;
     std::vector<size_t> read_cursor(static_cast<size_t>(threads), 0);
     serve::ServeLoop* loop = ctx.loop;
-    const OpsResult ops = DriveOps(
+    const LoadResult ops = RunOps(
         threads, cfg.phase_seconds(), cfg.seed + 100,
         [&, loop, n, threads](int t, Rng& rng) {
           const size_t ut = static_cast<size_t>(t);
@@ -104,17 +102,12 @@ class MovingObjectsScenario : public Scenario {
             pos.x = ObjectX(i, rng.NextBelow(kLattice), n);
             pos.y = rng.NextDouble();
             loop->SubmitInsert(pos);
-            writes->fetch_add(1, std::memory_order_relaxed);
-            return true;
+            return OpOutcome::kWrite;
           }
           loop->Range(queries[read_cursor[ut]++ % queries.size()]);
-          return true;
+          return OpOutcome::kRead;
         });
-    if (ops.errors > 0) {
-      failures->push_back("drive reported errors: " +
-                          std::to_string(ops.errors));
-    }
-    phases->push_back(PhaseFromOps("churn", ops, writes->load()));
+    phases->push_back(PhaseFromLoad("churn", ops));
   }
 
   void Check(const ScenarioConfig&, RunContext& ctx,

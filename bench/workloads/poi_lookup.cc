@@ -54,21 +54,19 @@ class PoiLookupScenario : public Scenario {
  protected:
   void Drive(const ScenarioConfig& cfg, RunContext& ctx,
              std::vector<PhaseResult>* phases,
-             std::vector<std::string>* failures) const override {
+             std::vector<std::string>*) const override {
     const std::vector<Point>& points = ctx.data->points;
     const ZipfSampler zipf(points.size(), 0.99);
     serve::ServeLoop* loop = ctx.loop;
-    const OpsResult ops = DriveOps(
+    // Every target exists, so a not-found lookup is an engine error.
+    const LoadResult ops = RunOps(
         cfg.client_threads(), cfg.phase_seconds(), cfg.seed + 100,
         [&points, &zipf, loop](int, Rng& rng) {
-          return loop->PointLookup(points[zipf.Sample(rng)]);
+          return loop->PointLookup(points[zipf.Sample(rng)])
+                     ? OpOutcome::kRead
+                     : OpOutcome::kError;
         });
-    if (ops.errors > 0) {
-      failures->push_back("lookups of existing points returned not-found: " +
-                          std::to_string(ops.errors) + " of " +
-                          std::to_string(ops.ops));
-    }
-    phases->push_back(PhaseFromOps("zipf_lookups", ops, /*writes=*/0));
+    phases->push_back(PhaseFromLoad("zipf_lookups", ops));
   }
 
   void Check(const ScenarioConfig& cfg, RunContext& ctx,

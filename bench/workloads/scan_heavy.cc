@@ -59,12 +59,12 @@ class ScanHeavyScenario : public Scenario {
   void Drive(const ScenarioConfig& cfg, RunContext& ctx,
              std::vector<PhaseResult>* phases,
              std::vector<std::string>*) const override {
-    serve::ClientLoadOptions copts;
-    copts.threads = cfg.client_threads();
-    copts.seconds = cfg.phase_seconds();
-    copts.admission_depth = 8;
+    LoadOptions lopts;
+    lopts.threads = cfg.client_threads();
+    lopts.seconds = cfg.phase_seconds();
+    lopts.pipeline_depth = 8;
     const serve::ResultCacheStats before = ctx.loop->cache_stats();
-    const serve::ClientLoadResult load = ctx.run_load(*ctx.workload, copts);
+    const LoadResult load = ctx.RunLoad(*ctx.workload, lopts);
     phases->push_back(
         PhaseFromLoad("scans", load, before, ctx.loop->cache_stats()));
   }

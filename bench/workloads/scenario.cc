@@ -1,13 +1,8 @@
 #include "workloads/scenario.h"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <cmath>
-#include <thread>
 
-#include "common/timer.h"
-#include "net/wire_load.h"
 #include "net/wire_server.h"
 #include "obs/exporters.h"
 
@@ -44,55 +39,6 @@ int ScenarioConfig::client_threads() const {
   return scale == "smoke" ? 2 : 4;
 }
 
-OpsResult DriveOps(int threads, double seconds, uint64_t seed,
-                   const std::function<bool(int, Rng&)>& op) {
-  const int n = std::max(1, threads);
-  constexpr size_t kWindow = size_t{1} << 16;
-  std::atomic<bool> start{false};
-  std::atomic<bool> stop{false};
-  std::atomic<int64_t> total_ops{0};
-  std::atomic<int64_t> total_errors{0};
-  std::vector<serve::LatencyRecorder> recorders(static_cast<size_t>(n),
-                                                serve::LatencyRecorder(kWindow));
-  std::vector<std::thread> clients;
-  clients.reserve(static_cast<size_t>(n));
-  for (int t = 0; t < n; ++t) {
-    clients.emplace_back([&, t] {
-      serve::LatencyRecorder& rec = recorders[static_cast<size_t>(t)];
-      Rng rng(seed + static_cast<uint64_t>(t));
-      int64_t ops = 0, errors = 0;
-      while (!start.load(std::memory_order_acquire)) {
-        if (stop.load(std::memory_order_relaxed)) break;
-        std::this_thread::yield();
-      }
-      while (!stop.load(std::memory_order_relaxed)) {
-        Timer timer;
-        if (!op(t, rng)) ++errors;
-        rec.Record(timer.ElapsedNs());
-        ++ops;
-      }
-      total_ops.fetch_add(ops, std::memory_order_relaxed);
-      total_errors.fetch_add(errors, std::memory_order_relaxed);
-    });
-  }
-  // Same start-latch discipline as RunClientLoad: clock first, then
-  // release, so no op lands outside the timed window.
-  Timer wall;
-  start.store(true, std::memory_order_release);
-  std::this_thread::sleep_for(
-      std::chrono::microseconds(static_cast<int64_t>(seconds * 1e6)));
-  stop.store(true, std::memory_order_relaxed);
-  for (std::thread& t : clients) t.join();
-
-  OpsResult result;
-  result.elapsed_seconds = wall.ElapsedSeconds();
-  result.ops = total_ops.load();
-  result.errors = total_errors.load();
-  result.latencies = serve::LatencyRecorder(kWindow * static_cast<size_t>(n));
-  for (const serve::LatencyRecorder& r : recorders) result.latencies.Merge(r);
-  return result;
-}
-
 ZipfSampler::ZipfSampler(size_t n, double theta) {
   cdf_.reserve(std::max<size_t>(1, n));
   double acc = 0.0;
@@ -120,13 +66,14 @@ serve::ServeOptions Scenario::Options(const ScenarioConfig&) const {
 }
 
 PhaseResult Scenario::PhaseFromLoad(const std::string& name,
-                                    const serve::ClientLoadResult& load,
+                                    const LoadResult& load,
                                     const serve::ResultCacheStats& before,
                                     const serve::ResultCacheStats& after) {
   PhaseResult phase;
   phase.name = name;
   phase.queries = load.queries;
   phase.writes = load.writes;
+  phase.errors = load.errors;
   phase.elapsed_seconds = load.elapsed_seconds;
   if (load.elapsed_seconds > 0.0) {
     phase.qps = static_cast<double>(load.queries) / load.elapsed_seconds;
@@ -144,21 +91,10 @@ PhaseResult Scenario::PhaseFromLoad(const std::string& name,
   return phase;
 }
 
-PhaseResult Scenario::PhaseFromOps(const std::string& name,
-                                   const OpsResult& ops, int64_t writes) {
-  PhaseResult phase;
-  phase.name = name;
-  phase.queries = ops.ops - writes;
-  phase.writes = writes;
-  phase.elapsed_seconds = ops.elapsed_seconds;
-  if (ops.elapsed_seconds > 0.0) {
-    phase.qps = static_cast<double>(phase.queries) / ops.elapsed_seconds;
-    phase.writes_per_s = static_cast<double>(writes) / ops.elapsed_seconds;
-  }
-  phase.p50_ns = ops.latencies.PercentileNs(50);
-  phase.p90_ns = ops.latencies.PercentileNs(90);
-  phase.p99_ns = ops.latencies.PercentileNs(99);
-  return phase;
+LoadResult Scenario::RunContext::RunLoad(const Workload& w,
+                                         LoadOptions opts) {
+  opts.seed = MixSeed(seed, 1000 + loads++);
+  return workloads::RunLoad(transport, w, opts);
 }
 
 ScenarioOutcome Scenario::Run(const ScenarioConfig& cfg) const {
@@ -179,13 +115,10 @@ ScenarioOutcome Scenario::Run(const ScenarioConfig& cfg) const {
   ctx.loop = &loop;
   ctx.data = &data;
   ctx.workload = &workload;
+  ctx.transport = &loop;
+  ctx.seed = cfg.seed;
 
-  // Transport: RunClientLoad-driven phases optionally go over a loopback
-  // WireServer; every run_load call gets its own deterministic seed
-  // sub-stream so repeated phases never replay each other's RNG.
   std::unique_ptr<net::WireServer> server;
-  auto load_seed = std::make_shared<uint64_t>(0);
-  const uint64_t base_seed = cfg.seed;
   if (cfg.net && SupportsNet()) {
     server = std::make_unique<net::WireServer>(&loop);
     std::string error;
@@ -193,30 +126,23 @@ ScenarioOutcome Scenario::Run(const ScenarioConfig& cfg) const {
       outcome.failures.push_back("wire server failed to start: " + error);
       return outcome;
     }
-    const uint16_t port = server->port();
-    ctx.wire = true;
+    ctx.transport = WireEndpoint{"127.0.0.1", server->port()};
     outcome.transport = "wire";
-    ctx.run_load = [port, base_seed, load_seed](
-                       const Workload& w,
-                       const serve::ClientLoadOptions& opts) {
-      serve::ClientLoadOptions seeded = opts;
-      seeded.seed = MixSeed(base_seed, 1000 + (*load_seed)++);
-      return net::RunWireClientLoad("127.0.0.1", port, w, seeded);
-    };
-  } else {
-    serve::ServeLoop* lp = &loop;
-    ctx.run_load = [lp, base_seed, load_seed](
-                       const Workload& w,
-                       const serve::ClientLoadOptions& opts) {
-      serve::ClientLoadOptions seeded = opts;
-      seeded.seed = MixSeed(base_seed, 1000 + (*load_seed)++);
-      return serve::RunClientLoad(*lp, w, seeded);
-    };
   }
 
   Drive(cfg, ctx, &outcome.phases, &outcome.failures);
   loop.Flush();
   if (server != nullptr) server->Stop();
+
+  // A phase that lost ops, or completed no read, measured something other
+  // than the scenario.
+  for (const PhaseResult& p : outcome.phases) {
+    if (p.errors > 0 || p.queries == 0) {
+      outcome.failures.push_back(
+          "phase '" + p.name + "': " + std::to_string(p.errors) +
+          " failed ops, " + std::to_string(p.queries) + " completed reads");
+    }
+  }
 
   Check(cfg, ctx, &outcome.failures, &outcome.invariant_checks);
 

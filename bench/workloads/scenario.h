@@ -27,15 +27,14 @@
 #define WAZI_BENCH_WORKLOADS_SCENARIO_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
-#include "serve/client_driver.h"
 #include "serve/serve_loop.h"
 #include "workload/dataset.h"
+#include "workloads/load_driver.h"
 
 namespace wazi::bench::workloads {
 
@@ -49,9 +48,9 @@ struct ScenarioConfig {
   size_t n_points = 0;
   double seconds = 0.0;  // per drive phase
   int threads = 0;       // client threads
-  // Drive RunClientLoad-based phases over TCP loopback through a
-  // WireServer instead of in-process (scenarios with custom op drivers
-  // ignore this and stay embedded).
+  // Drive RunLoad-based phases over TCP loopback through a WireServer
+  // instead of in-process (scenarios with custom op drivers ignore this
+  // and stay embedded).
   bool net = false;
 
   size_t points() const;        // resolved dataset size
@@ -63,7 +62,8 @@ struct ScenarioConfig {
 struct PhaseResult {
   std::string name;
   int64_t queries = 0;  // completed read ops
-  int64_t writes = 0;   // applied write ops
+  int64_t writes = 0;   // issued write ops
+  int64_t errors = 0;   // failed ops; any fails the scenario
   double elapsed_seconds = 0.0;
   double qps = 0.0;
   double writes_per_s = 0.0;
@@ -99,19 +99,6 @@ struct ScenarioOutcome {
   bool passed() const { return failures.empty(); }
 };
 
-// Custom-driver support: N client threads each run `op(thread, rng)` in a
-// loop for `seconds`, timing every call. `op` returns false to count an
-// error (the run keeps going; errors fail invariants later). Thread t's
-// RNG is Rng(seed + t) — deterministic per (seed, threads).
-struct OpsResult {
-  int64_t ops = 0;
-  int64_t errors = 0;
-  double elapsed_seconds = 0.0;
-  serve::LatencyRecorder latencies{0};
-};
-OpsResult DriveOps(int threads, double seconds, uint64_t seed,
-                   const std::function<bool(int thread, Rng& rng)>& op);
-
 // Bounded Zipf(theta) sampler over [0, n): precomputed CDF + binary
 // search, deterministic per RNG stream. theta ~0.99 is the YCSB default
 // ("Zipfian constant"); larger is more skewed.
@@ -144,22 +131,26 @@ class Scenario {
   virtual serve::ServeOptions Options(const ScenarioConfig& cfg) const;
 
   // Runs the full pipeline: generate -> build ServeLoop -> drive ->
-  // Flush -> check invariants -> snapshot metrics.
+  // Flush -> check invariants -> snapshot metrics. A phase with failed
+  // ops or no completed read fails the run.
   ScenarioOutcome Run(const ScenarioConfig& cfg) const;
 
  protected:
-  // What Drive/Check see: the live loop, the generated inputs, and a
-  // transport-dispatching client-load runner (in-process, or over a
-  // loopback WireServer when cfg.net and this scenario drives through
-  // RunClientLoad). `wire` says which one run_load actually is.
+  // What Drive/Check see: the live loop, the generated inputs, and the
+  // transport RunLoad phases use (the loop itself, or a loopback
+  // WireServer in front of it when cfg.net and SupportsNet()).
   struct RunContext {
     serve::ServeLoop* loop = nullptr;
     const Dataset* data = nullptr;
     const Workload* workload = nullptr;
-    std::function<serve::ClientLoadResult(const Workload&,
-                                          const serve::ClientLoadOptions&)>
-        run_load;
-    bool wire = false;
+    Transport transport;
+    uint64_t seed = 0;
+    uint64_t loads = 0;
+
+    // RunLoad over `transport`. Every call replaces opts.seed with its
+    // own sub-stream of the scenario seed, so repeated phases never
+    // replay each other's RNG.
+    LoadResult RunLoad(const Workload& w, LoadOptions opts);
   };
 
   // Pushes the scenario's op mix through ctx.loop, appending one
@@ -177,17 +168,15 @@ class Scenario {
                      int64_t* checks) const = 0;
 
   // True when cfg.net can apply to this scenario (default: false; the
-  // RunClientLoad-driven scenarios override to true).
+  // RunLoad-driven scenarios override to true).
   virtual bool SupportsNet() const { return false; }
 
-  // Converts a client-load run (plus the cache-hit delta around it) into
-  // a named phase row.
+  // Converts a load run (plus the cache-hit delta around it) into a named
+  // phase row.
   static PhaseResult PhaseFromLoad(const std::string& name,
-                                   const serve::ClientLoadResult& load,
-                                   const serve::ResultCacheStats& before,
-                                   const serve::ResultCacheStats& after);
-  static PhaseResult PhaseFromOps(const std::string& name,
-                                  const OpsResult& ops, int64_t writes);
+                                   const LoadResult& load,
+                                   const serve::ResultCacheStats& before = {},
+                                   const serve::ResultCacheStats& after = {});
 };
 
 // The registry: stable, id-sorted scenario singletons (explicitly

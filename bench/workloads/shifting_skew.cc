@@ -123,12 +123,12 @@ class ShiftingSkewScenario : public Scenario {
     });
 
     {
-      serve::ClientLoadOptions copts;
-      copts.threads = cfg.client_threads();
-      copts.write_pct = 5;
-      copts.seconds = cfg.phase_seconds();
+      LoadOptions lopts;
+      lopts.threads = cfg.client_threads();
+      lopts.write_pct = 5;
+      lopts.seconds = cfg.phase_seconds();
       const serve::ResultCacheStats before = loop->cache_stats();
-      const serve::ClientLoadResult pre = ctx.run_load(*ctx.workload, copts);
+      const LoadResult pre = ctx.RunLoad(*ctx.workload, lopts);
       phases->push_back(
           PhaseFromLoad("balanced", pre, before, loop->cache_stats()));
     }
@@ -145,13 +145,13 @@ class ShiftingSkewScenario : public Scenario {
       skewed.queries.push_back(MapInto(q, b, corner));
     }
     {
-      serve::ClientLoadOptions copts;
-      copts.threads = cfg.client_threads();
-      copts.write_pct = 20;
-      copts.seconds = cfg.phase_seconds() * 2;
-      copts.insert_region = corner;
+      LoadOptions lopts;
+      lopts.threads = cfg.client_threads();
+      lopts.write_pct = 20;
+      lopts.seconds = cfg.phase_seconds() * 2;
+      lopts.insert_region = corner;
       const serve::ResultCacheStats before = loop->cache_stats();
-      const serve::ClientLoadResult post = ctx.run_load(skewed, copts);
+      const LoadResult post = ctx.RunLoad(skewed, lopts);
       phases->push_back(
           PhaseFromLoad("skewed", post, before, loop->cache_stats()));
     }

@@ -85,30 +85,29 @@ class TimeseriesScenario : public Scenario {
  protected:
   void Drive(const ScenarioConfig& cfg, RunContext& ctx,
              std::vector<PhaseResult>* phases,
-             std::vector<std::string>* failures) const override {
+             std::vector<std::string>*) const override {
     const std::vector<Point> stream = AppendStream(cfg);
     const std::vector<Rect>& windows = ctx.workload->queries;
     serve::ServeLoop* loop = ctx.loop;
     // Shared cursor: each append consumes the next stream slot exactly
     // once, so the applied prefix is exact regardless of interleaving.
-    auto next_append = std::make_shared<std::atomic<size_t>>(0);
-    auto writes = std::make_shared<std::atomic<int64_t>>(0);
+    std::atomic<size_t> next_append{0};
     const int threads = cfg.client_threads();
     std::vector<size_t> read_cursor(static_cast<size_t>(threads), 0);
     for (int t = 0; t < threads; ++t) {
       read_cursor[static_cast<size_t>(t)] =
           static_cast<size_t>(t) * 131;  // per-thread offset, deterministic
     }
-    const OpsResult ops = DriveOps(
+    const LoadResult ops = RunOps(
         threads, cfg.phase_seconds(), cfg.seed + 100,
         [&, loop](int t, Rng& rng) {
           if (rng.NextBelow(100) < 30) {
+            // relaxed: the cursor only hands out distinct stream slots.
             const size_t j =
-                next_append->fetch_add(1, std::memory_order_relaxed);
+                next_append.fetch_add(1, std::memory_order_relaxed);
             if (j < stream.size()) {
               loop->SubmitInsert(stream[j]);
-              writes->fetch_add(1, std::memory_order_relaxed);
-              return true;
+              return OpOutcome::kWrite;
             }
             // Stream exhausted: fall through to a read so the op still
             // does work.
@@ -116,15 +115,10 @@ class TimeseriesScenario : public Scenario {
           size_t& cursor = read_cursor[static_cast<size_t>(t)];
           const Rect& q = windows[cursor++ % windows.size()];
           loop->Range(q);
-          return true;
+          return OpOutcome::kRead;
         });
-    appended_ = std::min(next_append->load(), stream.size());
-    if (ops.errors > 0) {
-      failures->push_back("drive reported errors: " +
-                          std::to_string(ops.errors));
-    }
-    phases->push_back(
-        PhaseFromOps("append_range", ops, writes->load()));
+    appended_ = std::min(next_append.load(), stream.size());
+    phases->push_back(PhaseFromLoad("append_range", ops));
   }
 
   void Check(const ScenarioConfig& cfg, RunContext& ctx,

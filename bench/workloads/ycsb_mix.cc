@@ -1,10 +1,9 @@
 // YCSB-style read/write mix: the standard serving profile, driven
-// through RunClientLoad with a hot set — phase "b" is the YCSB-B shape
+// through RunLoad with a hot set — phase "b" is the YCSB-B shape
 // (95% reads, hot 10% of the workload absorbing 90% of them) over a
 // result cache, phase "update_heavy" leans to 20% writes and measures
-// the same loop with invalidation pressure. This is the scenario whose
-// numbers most resemble the serve-smoke bench, recorded per phase so
-// the trajectory separates the cache-friendly and churny regimes.
+// the same loop with invalidation pressure. Recorded per phase so the
+// trajectory separates the cache-friendly and churny regimes.
 
 #include <string>
 #include <vector>
@@ -59,25 +58,23 @@ class YcsbMixScenario : public Scenario {
              std::vector<std::string>*) const override {
     serve::ServeLoop* loop = ctx.loop;
     {
-      serve::ClientLoadOptions copts;
-      copts.threads = cfg.client_threads();
-      copts.seconds = cfg.phase_seconds();
-      copts.write_pct = 5;
-      copts.hot_fraction = 0.1;  // hot 10% of the query stream...
-      copts.hot_pct = 90;        // ...absorbs 90% of reads
+      LoadOptions lopts;
+      lopts.threads = cfg.client_threads();
+      lopts.seconds = cfg.phase_seconds();
+      lopts.write_pct = 5;
+      lopts.hot_fraction = 0.1;  // hot 10% absorbs 90% of reads
       const serve::ResultCacheStats before = loop->cache_stats();
-      const serve::ClientLoadResult b = ctx.run_load(*ctx.workload, copts);
+      const LoadResult b = ctx.RunLoad(*ctx.workload, lopts);
       phases->push_back(PhaseFromLoad("b", b, before, loop->cache_stats()));
     }
     {
-      serve::ClientLoadOptions copts;
-      copts.threads = cfg.client_threads();
-      copts.seconds = cfg.phase_seconds();
-      copts.write_pct = 20;
-      copts.hot_fraction = 0.1;
-      copts.hot_pct = 90;
+      LoadOptions lopts;
+      lopts.threads = cfg.client_threads();
+      lopts.seconds = cfg.phase_seconds();
+      lopts.write_pct = 20;
+      lopts.hot_fraction = 0.1;
       const serve::ResultCacheStats before = loop->cache_stats();
-      const serve::ClientLoadResult u = ctx.run_load(*ctx.workload, copts);
+      const LoadResult u = ctx.RunLoad(*ctx.workload, lopts);
       phases->push_back(
           PhaseFromLoad("update_heavy", u, before, loop->cache_stats()));
     }

@@ -55,9 +55,9 @@ HistogramSnapshot Histogram::Snapshot() const {
 double HistogramSnapshot::Percentile(double pct) const {
   if (count <= 0) return 0.0;
   pct = std::min(100.0, std::max(0.0, pct));
-  // Same target rank as LatencyRecorder::PercentileNs: pct/100 * (n - 1),
-  // continuous in pct. With buckets instead of retained samples, the rank
-  // is then placed linearly within its bucket's [lower, upper] span.
+  // Target rank pct/100 * (n - 1), continuous in pct. With buckets
+  // instead of retained samples, the rank is then placed linearly within
+  // its bucket's [lower, upper] span.
   const double rank = pct / 100.0 * static_cast<double>(count - 1);
   // count may transiently exceed sum(buckets) under concurrent Record
   // (Snapshot loads are not one atomic cut), so the walk clamps into the

@@ -11,10 +11,10 @@
 //     never a registry lock.
 //   * Counters are monotone (Add >= 0 by contract); gauges move both ways;
 //     histograms record int64 samples into atomic log-spaced buckets and
-//     extract percentiles with the same linear-interpolation semantics as
-//     serve/latency_recorder.h (continuous in pct, exact median), adapted
-//     to bucketed data: the target rank is interpolated WITHIN its bucket's
-//     bounds instead of between retained samples.
+//     extract percentiles by linear interpolation (continuous in pct,
+//     exact median), adapted to bucketed data: the target rank is
+//     interpolated WITHIN its bucket's bounds instead of between retained
+//     samples.
 //   * Snapshot() copies every metric under the registry mutex into plain
 //     structs for the exporters (obs/exporters.h); relaxed loads are fine
 //     because every metric is independently monotone/atomic — a snapshot
@@ -70,10 +70,9 @@ struct HistogramSnapshot {
   int64_t count = 0;
   int64_t sum = 0;
 
-  // pct in [0, 100], PR-5 interpolation semantics (latency_recorder.h):
-  // the target rank is pct/100 * (count - 1), linearly interpolated — here
-  // within the containing bucket's [lower, upper] span since individual
-  // samples are not retained. 0 with no samples; the overflow bucket
+  // pct in [0, 100]: the target rank is pct/100 * (count - 1), linearly
+  // interpolated within the containing bucket's [lower, upper] span since
+  // individual samples are not retained. 0 with no samples; the overflow bucket
   // reports its lower bound (it has no upper).
   double Percentile(double pct) const;
   double mean() const {

@@ -99,7 +99,8 @@ double SampleAspect(double aspect_max, Rng& rng) {
 Workload GenerateCheckinWorkload(Region region, const Rect& domain,
                                  const QueryGenOptions& opts) {
   Workload w;
-  w.name = "Q" + RegionName(region);
+  w.name = RegionName(region);
+  w.name.insert(w.name.begin(), 'Q');
   w.selectivity = opts.selectivity;
   w.queries.reserve(opts.num_queries);
   const VenueModel model = BuildVenueModel(region, domain, opts.seed);

@@ -7,9 +7,9 @@
 
 #include <vector>
 
-#include "serve/latency_recorder.h"
+#include "workloads/latency_recorder.h"
 
-namespace wazi::serve {
+namespace wazi::bench::workloads {
 namespace {
 
 TEST(LatencyRecorderTest, EmptyRecorderReportsZeros) {
@@ -147,4 +147,4 @@ TEST(LatencyRecorderTest, PercentileCacheInvalidatesOnRecord) {
 }
 
 }  // namespace
-}  // namespace wazi::serve
+}  // namespace wazi::bench::workloads

@@ -1,7 +1,7 @@
 // MetricsRegistry: handle stability, counter/gauge/histogram semantics,
-// percentile interpolation compatibility with serve/latency_recorder.h,
-// and registry consistency under many concurrent writers + a snapshot
-// poller (the TSan target: no torn reads, counters never go backwards,
+// percentile interpolation compatibility with the load driver's
+// LatencyRecorder (bench/workloads/latency_recorder.h), and registry
+// consistency under many concurrent writers + a snapshot poller (the TSan target: no torn reads, counters never go backwards,
 // histogram invariants hold in every snapshot).
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "serve/latency_recorder.h"
+#include "workloads/latency_recorder.h"
 
 namespace wazi::obs {
 namespace {
@@ -129,7 +129,7 @@ TEST(HistogramTest, PercentileIsMonotoneAndBoundedByBuckets) {
 TEST(HistogramTest, MatchesLatencyRecorderSemanticsOnExactBucketRanks) {
   // When every sample IS a bucket bound, the bucketed interpolation and
   // the retained-sample interpolation see the same order statistics.
-  serve::LatencyRecorder rec;
+  bench::workloads::LatencyRecorder rec;
   Histogram h({100, 200, 300, 400});
   for (int64_t v : {100, 200, 300, 400}) {
     rec.Record(v);

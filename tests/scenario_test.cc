@@ -8,12 +8,18 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "net/wire_server.h"
+#include "workload/query_generator.h"
+#include "workload/region_generator.h"
 #include "workloads/scenario.h"
 
 namespace wazi::bench::workloads {
@@ -135,6 +141,86 @@ TEST(ScenarioRunTest, EveryScenarioPassesItsInvariantsAtTinyScale) {
     EXPECT_EQ(outcome.epoch, 1u + static_cast<uint64_t>(outcome.migrations));
     EXPECT_FALSE(outcome.metrics_json.empty());
   }
+}
+
+TEST(ScenarioRunTest, EveryScenarioPassesItsInvariantsOverTheWire) {
+  ScenarioConfig cfg = TinyConfig();
+  cfg.net = true;
+  int wire_runs = 0;
+  for (const Scenario* s : AllScenarios()) {
+    SCOPED_TRACE(s->id());
+    const ScenarioOutcome outcome = s->Run(cfg);
+    EXPECT_TRUE(outcome.passed()) << (outcome.failures.empty()
+                                          ? std::string("(no detail)")
+                                          : outcome.failures.front());
+    if (outcome.transport == "wire") ++wire_runs;
+  }
+  EXPECT_EQ(wire_runs, 3) << "scan_heavy, shifting_skew and ycsb_mix "
+                             "drive through RunLoad and support --net";
+}
+
+// Drives two broken phases: a wire load whose server stops mid-run, and
+// a write-only load that completes no read. Run must fail both.
+class BrokenPhasesScenario : public Scenario {
+ public:
+  std::string id() const override { return "broken_phases"; }
+  std::string description() const override { return "test only"; }
+  std::string op_mix() const override { return "test only"; }
+  std::string stresses() const override { return "Scenario::Run"; }
+  Dataset GenerateData(const ScenarioConfig& cfg) const override {
+    return GenerateRegion(Region::kCaliNev, cfg.points(), cfg.seed);
+  }
+  Workload GenerateQueries(const ScenarioConfig& cfg,
+                           const Dataset& data) const override {
+    QueryGenOptions qopts;
+    qopts.num_queries = 64;
+    qopts.seed = cfg.seed + 1;
+    return GenerateUniformWorkload(data.bounds, qopts);
+  }
+
+ protected:
+  void Drive(const ScenarioConfig& cfg, RunContext& ctx,
+             std::vector<PhaseResult>* phases,
+             std::vector<std::string>* failures) const override {
+    net::WireServer server(ctx.loop);
+    std::string error;
+    if (!server.Start(&error)) {
+      failures->push_back(error);
+      return;
+    }
+    LoadOptions lopts;
+    lopts.threads = cfg.client_threads();
+    lopts.seconds = 0.3;
+    std::thread stopper([&server] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      server.Stop();
+    });
+    const LoadResult lost = RunLoad(
+        WireEndpoint{"127.0.0.1", server.port()}, *ctx.workload, lopts);
+    stopper.join();
+    phases->push_back(PhaseFromLoad("lost_server", lost));
+
+    lopts.seconds = cfg.phase_seconds();
+    lopts.write_pct = 100;
+    phases->push_back(
+        PhaseFromLoad("write_only", ctx.RunLoad(*ctx.workload, lopts)));
+  }
+  void Check(const ScenarioConfig&, RunContext&, std::vector<std::string>*,
+             int64_t* checks) const override {
+    ++*checks;
+  }
+};
+
+TEST(ScenarioRunTest, PhasesWithErrorsOrNoReadsFailTheRun) {
+  const ScenarioOutcome outcome = BrokenPhasesScenario().Run(TinyConfig());
+  ASSERT_EQ(outcome.phases.size(), 2u);
+  EXPECT_GT(outcome.phases[0].errors, 0);
+  EXPECT_EQ(outcome.phases[1].queries, 0);
+  ASSERT_EQ(outcome.failures.size(), 2u);
+  EXPECT_NE(outcome.failures[0].find("'lost_server'"), std::string::npos)
+      << outcome.failures[0];
+  EXPECT_NE(outcome.failures[1].find("'write_only'"), std::string::npos)
+      << outcome.failures[1];
 }
 
 TEST(ScenarioJsonTest, EmittedJsonPassesTheSchemaValidator) {

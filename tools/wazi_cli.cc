@@ -74,14 +74,13 @@
 #include "common/timer.h"
 #include "core/serialize.h"
 #include "core/wazi.h"
-#include "net/wire_load.h"
 #include "net/wire_server.h"
 #include "obs/exporters.h"
-#include "serve/client_driver.h"
 #include "serve/serve_loop.h"
 #include "workload/io.h"
 #include "workload/query_generator.h"
 #include "workload/region_generator.h"
+#include "workloads/load_driver.h"
 
 namespace {
 
@@ -320,6 +319,14 @@ int ParseWritePct(const std::string& mix) {
   return static_cast<int>(100 - reads);
 }
 
+// Exit status of a throughput run: 1 when any client op failed.
+int LoadStatus(const bench::workloads::LoadResult& load) {
+  if (load.errors == 0) return 0;
+  std::fprintf(stderr, "%lld client op(s) failed\n",
+               static_cast<long long>(load.errors));
+  return 1;
+}
+
 int CmdThroughput(const std::map<std::string, std::string>& flags) {
   const Region region = RequireRegion(flags);
   const size_t n =
@@ -393,16 +400,16 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
       std::fprintf(stderr, "--connect wants HOST:PORT (numeric IPv4)\n");
       return 2;
     }
-    serve::ClientLoadOptions copts;
-    copts.threads = threads;
-    copts.write_pct = write_pct;
-    copts.seconds = seconds;
-    copts.admission_depth = 8;  // pipeline the wire: 8 in flight per client
+    bench::workloads::LoadOptions lopts;
+    lopts.threads = threads;
+    lopts.write_pct = write_pct;
+    lopts.seconds = seconds;
+    lopts.pipeline_depth = 8;  // pipeline the wire: 8 in flight per client
     std::fprintf(stderr, "driving %s:%u for %.1fs on %d threads "
                  "(%d%% writes, depth 8)...\n",
                  host.c_str(), port, seconds, threads, write_pct);
-    const serve::ClientLoadResult load =
-        net::RunWireClientLoad(host, port, workload, copts);
+    const bench::workloads::LoadResult load = bench::workloads::RunLoad(
+        bench::workloads::WireEndpoint{host, port}, workload, lopts);
     if (load.elapsed_seconds <= 0.0) {
       std::fprintf(stderr, "cannot connect to %s:%u\n", host.c_str(), port);
       return 1;
@@ -421,7 +428,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
                 static_cast<long long>(load.latencies.PercentileNs(90)));
     std::printf("latency p99:    %lldns\n",
                 static_cast<long long>(load.latencies.PercentileNs(99)));
-    return 0;
+    return LoadStatus(load);
   }
 
   const Dataset data = GenerateRegion(region, n, /*seed=*/42);
@@ -497,17 +504,14 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
                build_timer.ElapsedSeconds(), seconds, threads, write_pct,
                loop.num_shards(), std::thread::hardware_concurrency());
 
-  serve::ClientLoadOptions copts;
-  copts.threads = threads;
-  copts.write_pct = write_pct;
-  copts.seconds = seconds;
-  if (cache_mb > 0) {
-    copts.hot_fraction = 0.1;  // give the cache a hot set to hold
-    copts.hot_pct = 90;
-  }
-  if (adm_window > 0) copts.admission_depth = 8;
-  const serve::ClientLoadResult load =
-      serve::RunClientLoad(loop, workload, copts);
+  bench::workloads::LoadOptions lopts;
+  lopts.threads = threads;
+  lopts.write_pct = write_pct;
+  lopts.seconds = seconds;
+  if (cache_mb > 0) lopts.hot_fraction = 0.1;  // a hot set for the cache
+  if (adm_window > 0) lopts.pipeline_depth = 8;
+  const bench::workloads::LoadResult load =
+      bench::workloads::RunLoad(&loop, workload, lopts);
 
   std::printf("threads:        %d\n", threads);
   std::printf("shards:         %d\n", loop.num_shards());
@@ -601,7 +605,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
     }
     std::fprintf(stderr, "wrote %s\n", stats_json.c_str());
   }
-  return 0;
+  return LoadStatus(load);
 }
 
 void Usage() {
