@@ -211,8 +211,8 @@ void DriveMix(Session& session, const Workload& workload,
     // Collect already-resolved reads first (FIFO), so latency tracks
     // submit -> ready rather than time spent queued while this client
     // was busy submitting; block on the oldest only once the pipeline is
-    // full, which keeps it primed so an admission window can fill batches
-    // from this client alone.
+    // full, which keeps it primed so the admission dispatcher finds this
+    // client's next reads queued when a batch completes.
     while (ok && !in_flight.empty() &&
            in_flight.front().future.wait_for(std::chrono::seconds(0)) ==
                std::future_status::ready) {

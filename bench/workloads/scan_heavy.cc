@@ -48,8 +48,7 @@ class ScanHeavyScenario : public Scenario {
   serve::ServeOptions Options(const ScenarioConfig& cfg) const override {
     serve::ServeOptions opts = Scenario::Options(cfg);
     opts.num_shards = 2;
-    opts.num_threads = 4;         // batch workers
-    opts.admission.window_us = 100;
+    opts.num_threads = 4;  // batch workers
     return opts;
   }
 

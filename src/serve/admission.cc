@@ -1,7 +1,6 @@
 #include "serve/admission.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 namespace wazi::serve {
@@ -77,10 +76,9 @@ std::future<QueryResult> AdmissionQueue::Submit(const QueryRequest& request) {
       ++stats_.admitted;
       admitted_ctr_->Add(1);
     }
-    // Wake the dispatcher on new work (empty -> non-empty) or a full
-    // batch; arrivals in between land in its linger window without a
-    // futex wake each.
-    notify = pending_.size() == 1 || pending_.size() >= opts_.batch_limit;
+    // Wake the dispatcher on new work (empty -> non-empty); a busy
+    // dispatcher finds later arrivals when its batch completes.
+    notify = pending_.size() == 1;
   }
   if (notify) cv_.NotifyOne();
   return future;
@@ -124,8 +122,7 @@ std::vector<std::future<QueryResult>> AdmissionQueue::SubmitBatch(
       stats_.admitted += static_cast<int64_t>(requests.size());
       admitted_ctr_->Add(static_cast<int64_t>(requests.size()));
     }
-    notify = !requests.empty() &&
-             (was_empty || pending_.size() >= opts_.batch_limit);
+    notify = was_empty && !requests.empty();
   }
   if (notify) cv_.NotifyOne();
   return futures;
@@ -167,22 +164,7 @@ void AdmissionQueue::DispatcherLoop() {
   MutexLock lock(&mu_);
   for (;;) {
     while (!stop_ && pending_.empty()) cv_.Wait(mu_);
-    if (pending_.empty()) {
-      if (stop_) return;  // drained
-      continue;
-    }
-    // Linger for the batch to fill — bounded by window_us from the moment
-    // the first query was picked up, so co-batching can never add more
-    // than ~window_us of latency. Skipped when stopping (drain fast) or
-    // already full.
-    if (opts_.window_us > 0 && !stop_ &&
-        pending_.size() < opts_.batch_limit) {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::microseconds(opts_.window_us);
-      while (!stop_ && pending_.size() < opts_.batch_limit) {
-        if (cv_.WaitUntil(mu_, deadline) == std::cv_status::timeout) break;
-      }
-    }
+    if (pending_.empty()) return;  // stopped and drained
     std::vector<Pending> batch;
     const size_t take = std::min(pending_.size(), opts_.batch_limit);
     batch.reserve(take);

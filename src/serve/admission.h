@@ -9,13 +9,13 @@
 // each other could all run on the same pinned snapshot set.
 //
 // The AdmissionQueue coalesces concurrent submissions into bounded
-// batches:
+// batches. It is work-conserving, like group commit: a batch is what
+// queued while the previous batch ran, capped at `batch_limit`.
 //
 //   client ──Submit()──► pending queue ──► dispatcher thread
-//                                            │  waits until the batch
-//                                            │  fills (batch_limit) or the
-//                                            │  oldest query has waited
-//                                            │  window_us
+//                                            │  takes up to batch_limit
+//                                            │  of whatever is pending,
+//                                            │  without waiting for more
 //                                            ▼
 //                                          group by query type
 //                                            ▼
@@ -33,10 +33,9 @@
 // so each worker block runs a homogeneous instruction stream; results are
 // scattered back to the submission order through the clients' futures.
 //
-// `window_us` bounds the extra latency a query can pay for co-batching:
-// a query never waits longer than ~window_us beyond its own execution,
-// and a batch that fills to `batch_limit` dispatches immediately. 0 keeps
-// admission but disables the linger (dispatch whatever has queued).
+// No timer: an idle dispatcher executes a lone query at once, and
+// batches grow only when load keeps the dispatcher busy — co-batching
+// never costs a query latency the dispatcher could have avoided.
 //
 // Thread-safety: Submit/SubmitBatch from any number of threads. Stop (or
 // destruction) drains every pending query before returning — no future is
@@ -61,13 +60,9 @@
 namespace wazi::serve {
 
 struct AdmissionOptions {
-  // Max queries per dispatched batch; a full batch dispatches without
-  // waiting out the window.
+  // Max queries per dispatched batch; a longer backlog is split across
+  // consecutive batches.
   size_t batch_limit = 64;
-  // Max time the dispatcher lingers for a batch to fill, measured from
-  // when it picks up the first pending query — the co-batching latency
-  // bound. 0 dispatches whatever has accumulated, immediately.
-  int64_t window_us = 200;
 };
 
 // Monotone counters. stats() returns a mutually CONSISTENT snapshot:

@@ -5,10 +5,11 @@
 //   * Any number of client threads issue range / point / kNN queries; each
 //     runs wait-free on the current per-shard snapshots of the current
 //     topology (point lookups touch one shard, ranges their overlapping
-//     shards, kNN a best-first shard sweep). Clients that can tolerate a
-//     small coalescing window instead SubmitQuery/SubmitBatch: an
-//     AdmissionQueue groups concurrent submissions by type and executes
-//     each batch under ONE epoch-pinned snapshot-set acquisition.
+//     shards, kNN a best-first shard sweep). Clients that submit
+//     concurrently or in bulk use SubmitQuery/SubmitBatch instead: an
+//     AdmissionQueue groups what queued while its previous batch ran by
+//     type and executes each batch under ONE epoch-pinned snapshot-set
+//     acquisition.
 //   * Hot range results are served from a snapshot-stamped ResultCache
 //     when enabled: entries carry {topology epoch, per-shard snapshot
 //     versions} and self-invalidate the moment any stamped shard swaps a
@@ -136,9 +137,9 @@ struct ServeOptions {
   size_t recent_window = 2048;
   // Topology-level adaptation (monitor thread + automatic migrations).
   RepartitionOptions repartition;
-  // Batched query admission (SubmitQuery/SubmitBatch): coalescing window
-  // and batch bound for the pipelined entry points. The direct entry
-  // points (Range/PointLookup/Knn) never pay these.
+  // Batched query admission (SubmitQuery/SubmitBatch): the batch bound
+  // for the pipelined entry points. The direct entry points
+  // (Range/PointLookup/Knn) never go through admission.
   AdmissionOptions admission;
   // Snapshot-stamped hot-result cache, probed by Range, SubmitQuery/
   // SubmitBatch and ExecuteBatch. capacity_bytes == 0 (default) disables
@@ -192,12 +193,13 @@ class ServeLoop {
                     std::vector<QueryResult>* results);
 
   // --- pipelined admission (any thread) ---
-  // Enqueues the query for coalesced execution: concurrent submissions
-  // are grouped by type and executed as one batch under a single
-  // epoch-pinned snapshot-set acquisition (see serve/admission.h). The
-  // future resolves when the batch completes — at most ~admission.window_us
-  // later than the query's own execution. Prefer these over Range() when
-  // clients can tolerate the window and submit concurrently or in bulk.
+  // Enqueues the query for coalesced execution: a batch is what queued
+  // while the previous batch ran, capped at admission.batch_limit,
+  // grouped by type and executed under a single epoch-pinned
+  // snapshot-set acquisition (see serve/admission.h). There is no linger:
+  // an idle dispatcher runs a lone query at once. The future resolves when
+  // its batch completes. Prefer these over Range() when clients submit
+  // concurrently or in bulk.
   std::future<QueryResult> SubmitQuery(const QueryRequest& request);
   std::vector<std::future<QueryResult>> SubmitBatch(
       const std::vector<QueryRequest>& requests);

@@ -37,7 +37,6 @@ TEST(AdmissionTest, SubmittedQueriesMatchDirectExecution) {
   opts.num_shards = 3;
   opts.num_threads = 2;
   opts.auto_rebuild = false;
-  opts.admission.window_us = 100;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   // One of each type, interleaved, so the dispatcher's type grouping has
@@ -85,7 +84,6 @@ TEST(AdmissionTest, SubmitBatchCoalescesUnderOneAcquisition) {
   opts.num_threads = 2;
   opts.auto_rebuild = false;
   opts.admission.batch_limit = 32;
-  opts.admission.window_us = 2000;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   // 64 requests enqueued atomically: the dispatcher must see them as two
@@ -117,7 +115,6 @@ TEST(AdmissionTest, BatchIsEpochPinnedAcrossALiveRepartition) {
   opts.num_threads = 2;
   opts.auto_rebuild = false;
   opts.admission.batch_limit = 64;
-  opts.admission.window_us = 500;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   std::atomic<bool> stop{false};
@@ -160,7 +157,6 @@ TEST(AdmissionTest, StatsSnapshotsAreMutuallyConsistent) {
   opts.num_threads = 2;
   opts.auto_rebuild = false;
   opts.admission.batch_limit = 8;
-  opts.admission.window_us = 100;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   // A poller hammers stats() while submitters race the dispatcher: every
@@ -216,7 +212,6 @@ TEST(AdmissionTest, ConcurrentSubmittersAllResolveAndStopDrains) {
   opts.num_shards = 2;
   opts.num_threads = 2;
   opts.auto_rebuild = false;
-  opts.admission.window_us = 300;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   std::atomic<int64_t> resolved{0};
@@ -244,6 +239,42 @@ TEST(AdmissionTest, ConcurrentSubmittersAllResolveAndStopDrains) {
       loop.SubmitQuery(QueryRequest::Range(s.workload.queries[0]));
   EXPECT_EQ(SortedIds(late.get().hits),
             TruthIds(s.data, s.workload.queries[0]));
+}
+
+TEST(AdmissionTest, LoneQueryIsNotHeldByATimer) {
+  // On an idle loop a lone query must not wait for a batch to fill: the
+  // dispatcher runs whatever is pending as soon as it wakes. A dispatcher
+  // that lingered for co-batching would hold every one of these queries
+  // for its whole window.
+  TestScenario s = MakeScenario(Region::kCaliNev, 2000, 40, 2e-3, 807);
+  ServeOptions opts;
+  opts.num_shards = 2;
+  opts.num_threads = 2;
+  opts.auto_rebuild = false;
+  opts.obs.trace_sample_every = 1;  // trace every query
+  ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
+
+  constexpr size_t kQueries = 64;
+  for (size_t i = 0; i < kQueries; ++i) {
+    EXPECT_TRUE(
+        loop.SubmitQuery(QueryRequest::PointLookup(s.data.points[i * 13]))
+            .get()
+            .found);
+  }
+  // A batch journals its traces after resolving its futures; Stop joins
+  // the dispatcher, so the last query's trace is in the journal.
+  loop.Stop();
+  // kQueryTrace: a = submit -> admit wait (ns), c = 1 on the admitted path.
+  std::vector<int64_t> waits;
+  for (const obs::TraceEvent& e :
+       loop.journal().Tail(loop.journal().capacity())) {
+    if (e.kind == obs::TraceEventKind::kQueryTrace && e.c == 1) {
+      waits.push_back(e.a);
+    }
+  }
+  ASSERT_EQ(waits.size(), kQueries);
+  std::nth_element(waits.begin(), waits.begin() + kQueries / 2, waits.end());
+  EXPECT_LT(waits[kQueries / 2], 200'000) << "median admission wait, ns";
 }
 
 TEST(AdmissionTest, PostStopInlinePathCountsDispatchBeforeResolving) {

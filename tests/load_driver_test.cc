@@ -59,9 +59,6 @@ struct Engine {
     serve::ServeOptions opts;
     opts.num_shards = shards;
     opts.auto_rebuild = false;
-    // No co-batching linger: every synchronous wire read would otherwise
-    // wait out the whole window.
-    opts.admission.window_us = 0;
     return opts;
   }
 

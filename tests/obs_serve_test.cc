@@ -254,7 +254,6 @@ TEST(ObsServeTest, AdmissionDispatchesAreJournaledWithBatchSizes) {
   opts.num_shards = 2;
   opts.num_threads = 2;
   opts.auto_rebuild = false;
-  opts.admission.window_us = 200;
   ServeLoop loop(WaziFactory(), s.data, s.workload, FastOpts(), opts);
 
   std::vector<std::future<QueryResult>> futures;

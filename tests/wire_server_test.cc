@@ -60,7 +60,6 @@ struct Server {
     opts.num_shards = 2;
     opts.num_threads = 2;
     opts.auto_rebuild = false;
-    opts.admission.window_us = 100;
     return opts;
   }
 
@@ -290,26 +289,34 @@ TEST(WireServerTest, UnknownTypeAnsweredAndConnectionContinues) {
 TEST(WireServerTest, BackpressurePausesReaderWithoutDroppingWork) {
   WireServerOptions opts;
   opts.max_inflight_per_conn = 1;
-  serve::ServeOptions serve_opts = Server::DefaultServeOpts();
-  // A long admission window keeps futures unresolved while the reader hits
-  // the inflight cap deterministically.
-  serve_opts.admission.window_us = 20000;
-  Server s(opts, serve_opts);
-  auto client = s.Connect();
+  Server s(opts);
+  std::string err;
+  const int fd = ConnectTcp("127.0.0.1", s.server.port(), &err);
+  ASSERT_GE(fd, 0) << err;
 
+  // Every request frame in ONE send: the reader decodes them all from one
+  // recv chunk and enqueues every response before it next checks the cap,
+  // so inflight exceeds 1 before the writer can drain it.
   constexpr size_t kQueries = 24;
-  std::vector<std::future<serve::QueryResult>> futures;
+  const std::vector<Rect>& queries = s.scenario.workload.queries;
+  std::string bytes;
   for (size_t i = 0; i < kQueries; ++i) {
-    futures.push_back(client->SubmitRange(
-        s.scenario.workload.queries[i % s.scenario.workload.queries.size()]));
+    EncodeRangeQuery(i + 1, queries[i % queries.size()], &bytes);
   }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(SortedIds(futures[i].get().hits),
-              TruthIds(s.scenario.data,
-                       s.scenario.workload.queries[
-                           i % s.scenario.workload.queries.size()]))
+  ASSERT_TRUE(SendAll(fd, bytes.data(), bytes.size()));
+  FrameDecoder decoder(64u << 20);
+  for (size_t i = 0; i < kQueries; ++i) {
+    WireResponse resp;
+    ASSERT_TRUE(ReadOneResponse(fd, &decoder, &resp)) << "query " << i;
+    EXPECT_EQ(resp.type, MsgType::kRangeResult);
+    EXPECT_EQ(resp.corr_id, i + 1);
+    EXPECT_EQ(SortedIds(resp.result.hits),
+              TruthIds(s.scenario.data, queries[i % queries.size()]))
         << "query " << i;
   }
+  CloseSocket(fd);
+  // Stop joins the connection's writer, so its counters are final.
+  s.server.Stop();
   // Every query answered AND the reader actually paused along the way.
   EXPECT_GE(s.server.stats().backpressure_pauses, 1);
   EXPECT_EQ(s.server.stats().responses, static_cast<int64_t>(kQueries));
@@ -332,14 +339,13 @@ TEST(WireServerTest, QueuedBytesCapAlsoPausesReader) {
 }
 
 TEST(WireServerTest, StopWithInFlightRequestsResolvesEverything) {
-  serve::ServeOptions serve_opts = Server::DefaultServeOpts();
-  serve_opts.admission.window_us = 10000;
-  Server s({}, serve_opts);
+  Server s;
   auto client = s.Connect();
+  // Full-domain ranges each return every point, so execution and response
+  // encoding keep work in flight when Stop lands.
   std::vector<std::future<serve::QueryResult>> futures;
   for (size_t i = 0; i < 50; ++i) {
-    futures.push_back(client->SubmitRange(
-        s.scenario.workload.queries[i % s.scenario.workload.queries.size()]));
+    futures.push_back(client->SubmitRange(s.scenario.data.bounds));
   }
   // Stop the server mid-burst: every future must resolve — with a result
   // or a connection error — never hang, never leak.

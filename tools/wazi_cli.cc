@@ -14,7 +14,7 @@
 //                        --queries 2000 --selectivity 0.0256%
 //                        --repartition 0|1 --incremental 0|1
 //                        --auto-shards 0|1 --cache-mb 64
-//                        --admission-window 200
+//                        --admission 0|1
 //                        --stats-json out.json --trace-dump 50
 //                        --trace-sample 100]
 //   wazi_cli serve      --listen 7450 [--bind 127.0.0.1 --seconds 0
@@ -33,9 +33,9 @@
 // monitor grow/shrink the shard count (hot queues / idle slivers).
 // `--cache-mb N` turns on the snapshot-stamped result cache (reads are
 // then drawn skewed, 90% from the hottest 10% of queries, so the cache
-// has a hot set to hold); `--admission-window US` routes reads through
-// the batched admission pipeline (SubmitQuery futures, 8 in flight per
-// client) with the given coalescing window in microseconds.
+// has a hot set to hold); `--admission 1` routes reads through the
+// batched admission pipeline (SubmitQuery futures, 8 in flight per
+// client, executed by 4 engine threads).
 // `--stats-json <path>` writes the run summary, the full serve metrics
 // registry and a trace-journal tail as one JSON document;
 // `--trace-dump N` prints the journal's last N serve events (snapshot
@@ -351,8 +351,8 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
   const std::string index_name = FlagOr(flags, "index", "wazi");
   const int cache_mb = static_cast<int>(
       std::strtol(FlagOr(flags, "cache-mb", "0").c_str(), nullptr, 10));
-  const int adm_window = static_cast<int>(std::strtol(
-      FlagOr(flags, "admission-window", "0").c_str(), nullptr, 10));
+  const std::string admission_flag = FlagOr(flags, "admission", "0");
+  const bool admission = admission_flag == "1";
   // --stats-json <path>: write the run summary + full metrics registry +
   // trace-journal tail as JSON. --trace-dump N: print the last N journal
   // events to stderr. --trace-sample N: sample every Nth query into a
@@ -364,12 +364,12 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
       std::strtol(FlagOr(flags, "trace-sample", "0").c_str(), nullptr, 10);
   if (threads < 1 || shards < 1 || write_pct < 0 ||
       (seconds <= 0.0 && listen.empty()) || seconds < 0.0 || cache_mb < 0 ||
-      adm_window < 0 || trace_dump < 0 || trace_sample < 0) {
+      (!admission && admission_flag != "0") || trace_dump < 0 ||
+      trace_sample < 0) {
     std::fprintf(stderr,
                  "--threads and --shards want >= 1, --mix wants e.g. "
-                 "95r/5w, --seconds wants > 0, --cache-mb, "
-                 "--admission-window, --trace-dump and --trace-sample "
-                 "want >= 0\n");
+                 "95r/5w, --seconds wants > 0, --admission wants 0 or 1, "
+                 "--cache-mb, --trace-dump and --trace-sample want >= 0\n");
     return 2;
   }
   if (MakeIndex(index_name) == nullptr) {
@@ -446,10 +446,9 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
   sopts.repartition.auto_shard_count =
       FlagOr(flags, "auto-shards", "0") == "1";
   sopts.cache.capacity_bytes = static_cast<size_t>(cache_mb) * 1024 * 1024;
-  sopts.admission.window_us = adm_window;
   sopts.obs.trace_sample_every = static_cast<uint32_t>(trace_sample);
   // Admission arms execute batches on the engine pool, not the clients.
-  if (adm_window > 0) sopts.num_threads = 4;
+  if (admission) sopts.num_threads = 4;
   // Listen mode runs the engine pool (wire requests go through batched
   // admission, executed by engine threads, not client threads).
   if (!listen.empty()) sopts.num_threads = 4;
@@ -509,7 +508,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
   lopts.write_pct = write_pct;
   lopts.seconds = seconds;
   if (cache_mb > 0) lopts.hot_fraction = 0.1;  // a hot set for the cache
-  if (adm_window > 0) lopts.pipeline_depth = 8;
+  if (admission) lopts.pipeline_depth = 8;
   const bench::workloads::LoadResult load =
       bench::workloads::RunLoad(&loop, workload, lopts);
 
@@ -555,7 +554,7 @@ int CmdThroughput(const std::map<std::string, std::string>& flags) {
         static_cast<long long>(cs.misses),
         static_cast<long long>(cs.invalidations), cs.size_bytes);
   }
-  if (adm_window > 0) {
+  if (admission) {
     const serve::AdmissionStats as = loop.admission_stats();
     std::printf(
         "admission:      %lld queries in %lld batches (mean %.1f, max "
