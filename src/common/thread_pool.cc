@@ -1,9 +1,9 @@
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <algorithm>
 #include <utility>
 
-namespace wazi::serve {
+namespace wazi {
 
 ThreadPool::ThreadPool(int num_threads) {
   const int n = std::max(1, num_threads);
@@ -54,4 +54,4 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-}  // namespace wazi::serve
+}  // namespace wazi

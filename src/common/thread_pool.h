@@ -1,9 +1,10 @@
-// Fixed-size worker pool used by the query engine. Deliberately minimal:
-// a mutex-protected FIFO plus a drain barrier (`Wait`), which is all batch
-// query execution needs. Tasks must not throw.
+// Fixed-size worker pool, used by the serve query engine (batch fan-out)
+// and the greedy Z-index builder (split-candidate scoring). Deliberately
+// minimal: a mutex-protected FIFO plus a drain barrier (`Wait`), which is
+// all either needs. Tasks must not throw.
 
-#ifndef WAZI_SERVE_THREAD_POOL_H_
-#define WAZI_SERVE_THREAD_POOL_H_
+#ifndef WAZI_COMMON_THREAD_POOL_H_
+#define WAZI_COMMON_THREAD_POOL_H_
 
 #include <cstdint>
 #include <deque>
@@ -13,7 +14,7 @@
 
 #include "common/thread_annotations.h"
 
-namespace wazi::serve {
+namespace wazi {
 
 class ThreadPool {
  public:
@@ -44,6 +45,6 @@ class ThreadPool {
   bool stop_ GUARDED_BY(mu_) = false;
 };
 
-}  // namespace wazi::serve
+}  // namespace wazi
 
-#endif  // WAZI_SERVE_THREAD_POOL_H_
+#endif  // WAZI_COMMON_THREAD_POOL_H_

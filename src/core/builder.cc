@@ -1,8 +1,11 @@
 #include "core/builder.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <thread>
 #include <vector>
 
 namespace wazi {
@@ -53,10 +56,37 @@ void PartitionByQuadrant(Point* pts, uint32_t begin, uint32_t end,
   }
 }
 
+// Runs fn(0) .. fn(n - 1) on the team's workers and the calling thread,
+// each index exactly once; returns when all have finished. The team is
+// private to one build, so its Wait() barrier covers exactly these tasks.
+template <typename Fn>
+void RunOnTeam(ThreadPool* team, size_t n, const Fn& fn) {
+  std::atomic<size_t> next{0};
+  const auto drain = [&] {
+    for (size_t i = next++; i < n; i = next++) fn(i);
+  };
+  const size_t helpers =
+      team == nullptr || n < 2
+          ? 0
+          : std::min(n - 1, static_cast<size_t>(team->num_threads()));
+  for (size_t h = 0; h < helpers; ++h) team->Submit(drain);
+  drain();
+  if (helpers > 0) team->Wait();
+}
+
+// Threads, the caller included, that run `policy` (see ZBuildParams).
+int BuildTeamSize(const SplitPolicy& policy, const ZBuildParams& params) {
+  if (params.workers > 0) return params.workers;
+  const int hw = static_cast<int>(std::thread::hardware_concurrency());
+  return std::max(1, std::min(hw, policy.parallelism()));
+}
+
 class TreeBuilder {
  public:
-  TreeBuilder(SplitPolicy& policy, const ZBuildParams& params, ZIndex* out)
-      : policy_(policy), params_(params), out_(out), rng_(params.seed) {}
+  TreeBuilder(SplitPolicy& policy, const ZBuildParams& params,
+              ThreadPool* team, ZIndex* out)
+      : policy_(policy), params_(params), team_(team), out_(out),
+        rng_(params.seed) {}
 
   int32_t BuildNode(std::vector<Point>& pts, uint32_t begin, uint32_t end,
                     const Rect& cell, int depth) {
@@ -66,7 +96,8 @@ class TreeBuilder {
       return out_->AddLeaf(cell, pts.data(), begin, end);
     }
 
-    SplitChoice choice = policy_.Choose(pts.data() + begin, n, cell, rng_);
+    SplitChoice choice =
+        policy_.Choose(pts.data() + begin, n, cell, rng_, team_);
     uint32_t bounds[5];
     PartitionByQuadrant(pts.data(), begin, end, choice, bounds);
 
@@ -102,6 +133,7 @@ class TreeBuilder {
  private:
   SplitPolicy& policy_;
   const ZBuildParams& params_;
+  ThreadPool* team_;
   ZIndex* out_;
   Rng rng_;
 };
@@ -122,7 +154,7 @@ SplitChoice MedianSplit(Point* points, size_t n) {
 }
 
 SplitChoice MedianSplitPolicy::Choose(Point* points, size_t n, const Rect&,
-                                      Rng&) {
+                                      Rng&, ThreadPool*) {
   return MedianSplit(points, n);
 }
 
@@ -154,19 +186,18 @@ double GreedySplitPolicy::SampleCorner(const std::vector<double>& coords,
 }
 
 SplitChoice GreedySplitPolicy::Choose(Point* points, size_t n,
-                                      const Rect& cell, Rng& rng) {
+                                      const Rect& cell, Rng& rng,
+                                      ThreadPool* team) {
   // Candidates are sampled from the node's data extent (cells may be
   // unbounded; the data MBR is where splits can matter).
   Rect extent;
   for (size_t i = 0; i < n; ++i) extent.Expand(points[i]);
 
-  SplitChoice best = MedianSplit(points, n);
-  const QuadCounts nd =
-      provider_->CountData(points, n, cell, best.sx, best.sy);
-  const ClassCounts qc = provider_->CountQueries(cell, best.sx, best.sy);
-  const OrderedCost oc = BestOrdering(nd, qc, alpha_);
-  best.ord = oc.ordering;
-  double best_cost = oc.cost;
+  // Candidate 0 is the median; the sampled ones follow in RNG order. All
+  // are drawn before any is scored, so the RNG stream does not depend on
+  // how scoring is scheduled.
+  std::vector<SplitChoice> candidates(static_cast<size_t>(kappa_) + 1);
+  candidates[0] = MedianSplit(points, n);
   for (int k = 0; k < kappa_; ++k) {
     double sx = std::numeric_limits<double>::quiet_NaN();
     double sy = std::numeric_limits<double>::quiet_NaN();
@@ -178,19 +209,33 @@ SplitChoice GreedySplitPolicy::Choose(Point* points, size_t n,
     }
     if (std::isnan(sx)) sx = rng.Uniform(extent.min_x, extent.max_x);
     if (std::isnan(sy)) sy = rng.Uniform(extent.min_y, extent.max_y);
-    const QuadCounts cnd = provider_->CountData(points, n, cell, sx, sy);
-    const ClassCounts cqc = provider_->CountQueries(cell, sx, sy);
-    const OrderedCost coc = BestOrdering(cnd, cqc, alpha_);
-    if (coc.cost < best_cost) {
-      best_cost = coc.cost;
-      best = SplitChoice{sx, sy, coc.ordering};
-    }
+    candidates[static_cast<size_t>(k) + 1] =
+        SplitChoice{sx, sy, Ordering::kAbcd};
   }
-  return best;
+
+  // Each task reads the span and the provider and writes only its own
+  // slots.
+  std::vector<double> costs(candidates.size());
+  RunOnTeam(team, candidates.size(), [&](size_t i) {
+    SplitChoice& c = candidates[i];
+    const QuadCounts nd = provider_->CountData(points, n, cell, c.sx, c.sy);
+    const ClassCounts qc = provider_->CountQueries(cell, c.sx, c.sy);
+    const OrderedCost oc = BestOrdering(nd, qc, alpha_);
+    c.ord = oc.ordering;
+    costs[i] = oc.cost;
+  });
+
+  // Strict < in candidate order: the first minimum wins, as in a serial
+  // scan.
+  size_t best = 0;
+  for (size_t i = 1; i < candidates.size(); ++i) {
+    if (costs[i] < costs[best]) best = i;
+  }
+  return candidates[best];
 }
 
-void BuildZIndex(const Dataset& data, SplitPolicy& policy,
-                 const ZBuildParams& params, ZIndex* out) {
+int BuildZIndex(const Dataset& data, SplitPolicy& policy,
+                const ZBuildParams& params, ZIndex* out) {
   std::vector<Point> pts = data.points;
   // Unbounded root cell: inserts outside the original bounds stay inside
   // their leaf's cell (see header comment).
@@ -200,14 +245,20 @@ void BuildZIndex(const Dataset& data, SplitPolicy& policy,
     const int32_t leaf = out->AddLeaf(root_cell, pts.data(), 0, 0);
     out->SetRoot(leaf);
     out->FinishBuild(std::move(pts));
-    return;
+    return 1;
   }
-  TreeBuilder builder(policy, params, out);
+  // The caller is one member of the team; the pool holds the others and
+  // is joined when it goes out of scope.
+  const int team_size = BuildTeamSize(policy, params);
+  std::optional<ThreadPool> team;
+  if (team_size > 1) team.emplace(team_size - 1);
+  TreeBuilder builder(policy, params, team ? &*team : nullptr, out);
   const int32_t root =
       builder.BuildNode(pts, 0, static_cast<uint32_t>(pts.size()), root_cell,
                         /*depth=*/0);
   out->SetRoot(root);
   out->FinishBuild(std::move(pts));
+  return team_size;
 }
 
 }  // namespace wazi

@@ -1,5 +1,6 @@
 #include "core/serialize.h"
 
+#include <cstddef>
 #include <cstring>
 #include <fstream>
 #include <istream>
@@ -23,15 +24,6 @@ bool ReadPod(std::istream& in, T* v) {
 }
 
 template <typename T>
-void WriteVec(std::ostream& out, const std::vector<T>& v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  if (!v.empty()) {
-    out.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-}
-
-template <typename T>
 bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t max_elems) {
   uint64_t n = 0;
   if (!ReadPod(in, &n) || n > max_elems) return false;
@@ -41,6 +33,58 @@ bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t max_elems) {
             static_cast<std::streamsize>(n * sizeof(T)));
   }
   return static_cast<bool>(in);
+}
+
+// One record as written to disk: each field's bytes at its offset in the
+// struct, every padding byte zero. Writing the in-memory struct instead
+// would leak whatever its padding happened to hold, so two saves of the
+// same index could differ. The layout matches the struct's, so the
+// reader stays a plain ReadVec.
+template <typename T>
+class RecordImage {
+ public:
+  template <typename F>
+  void Put(size_t offset, const F& field) {
+    std::memcpy(bytes_ + offset, &field, sizeof(F));
+  }
+  void WriteTo(std::ostream& out) const { out.write(bytes_, sizeof(T)); }
+
+ private:
+  char bytes_[sizeof(T)] = {};
+};
+
+// Pinned sizes: a changed struct fails here until its Put list (and
+// kVersion) is revisited.
+static_assert(sizeof(ZIndex::Node) == 40);
+static_assert(sizeof(LeafRec) == 104);
+
+void WriteRecord(std::ostream& out, const ZIndex::Node& n) {
+  RecordImage<ZIndex::Node> rec;
+  rec.Put(offsetof(ZIndex::Node, sx), n.sx);
+  rec.Put(offsetof(ZIndex::Node, sy), n.sy);
+  rec.Put(offsetof(ZIndex::Node, ord), n.ord);
+  rec.Put(offsetof(ZIndex::Node, child), n.child);
+  rec.Put(offsetof(ZIndex::Node, leaf_id), n.leaf_id);
+  rec.WriteTo(out);
+}
+
+void WriteRecord(std::ostream& out, const LeafRec& l) {
+  RecordImage<LeafRec> rec;
+  rec.Put(offsetof(LeafRec, cell), l.cell);
+  rec.Put(offsetof(LeafRec, mbr), l.mbr);
+  rec.Put(offsetof(LeafRec, page), l.page);
+  rec.Put(offsetof(LeafRec, ord), l.ord);
+  rec.Put(offsetof(LeafRec, next), l.next);
+  rec.Put(offsetof(LeafRec, prev), l.prev);
+  rec.Put(offsetof(LeafRec, lookahead), l.lookahead);
+  rec.WriteTo(out);
+}
+
+// Count-prefixed records, the layout ReadVec reads back.
+template <typename T>
+void WriteRecords(std::ostream& out, const std::vector<T>& v) {
+  WritePod(out, static_cast<uint64_t>(v.size()));
+  for (const T& r : v) WriteRecord(out, r);
 }
 
 // Sanity cap against corrupt headers (1 billion entries).
@@ -56,12 +100,12 @@ bool SaveZIndex(const ZIndex& index, std::ostream& out) {
   WritePod(out, static_cast<uint8_t>(index.has_lookahead_ ? 1 : 0));
   WritePod(out, index.domain_);
 
-  WriteVec(out, index.nodes_);
+  WriteRecords(out, index.nodes_);
 
-  // Leaf directory: raw records plus list anchors.
+  // Leaf directory: records plus list anchors.
   WritePod(out, index.dir_.head());
   WritePod(out, index.dir_.tail());
-  WriteVec(out, index.dir_.raw_leaves());
+  WriteRecords(out, index.dir_.raw_leaves());
 
   // Pages, materialized in page-id order (re-clusters on load).
   const PageStore& store = index.store_;

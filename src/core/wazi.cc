@@ -12,7 +12,7 @@ void ZIndexVariant::Build(const Dataset& data, const Workload& workload,
 
   if (!adaptive_) {
     MedianSplitPolicy policy;
-    BuildZIndex(data, policy, params, &zindex_);
+    build_workers_ = BuildZIndex(data, policy, params, &zindex_);
   } else {
     const double alpha = skipping_ ? opts.alpha : opts.alpha_noskip;
     std::unique_ptr<CountProvider> provider;
@@ -40,7 +40,7 @@ void ZIndexVariant::Build(const Dataset& data, const Workload& workload,
     GreedySplitPolicy policy(raw,
                              opts.corner_candidates ? &workload : nullptr,
                              opts.kappa, alpha);
-    BuildZIndex(data, policy, params, &zindex_);
+    build_workers_ = BuildZIndex(data, policy, params, &zindex_);
   }
   if (skipping_) zindex_.BuildLookahead();
   stats_.Reset();
@@ -72,6 +72,12 @@ bool ZIndexVariant::Insert(const Point& p) {
 bool ZIndexVariant::Remove(const Point& p) { return zindex_.Remove(p.x, p.y); }
 
 size_t ZIndexVariant::SizeBytes() const { return zindex_.SizeBytes(); }
+
+std::unique_ptr<SpatialIndex> ZIndexVariant::Clone() const {
+  auto copy = std::make_unique<ZIndexVariant>(*this);
+  copy->stats_.Reset();
+  return copy;
+}
 
 bool ZIndexVariant::SaveToFile(const std::string& path) const {
   return SaveZIndexToFile(zindex_, path);

@@ -46,10 +46,15 @@ class ZIndexVariant : public SpatialIndex {
   bool Remove(const Point& p) override;
   bool SupportsUpdates() const override { return true; }
   size_t SizeBytes() const override;
+  // A plain copy: same tree, leaf directory and pages (the built-in stats
+  // accumulator starts at zero).
+  std::unique_ptr<SpatialIndex> Clone() const override;
 
   // Direct access for tests and diagnostics.
   const ZIndex& zindex() const { return zindex_; }
   bool skipping() const { return skipping_; }
+  // Threads, the caller included, that the last Build() ran on.
+  int build_workers() const { return build_workers_; }
 
   // Persistence (serialize.h): save a built index; load restores it
   // without retraining (look-ahead pointers are rebuilt if the stored
@@ -62,6 +67,7 @@ class ZIndexVariant : public SpatialIndex {
   bool adaptive_;
   bool skipping_;
   ZIndex zindex_;
+  int build_workers_ = 1;
 };
 
 class Wazi : public ZIndexVariant {

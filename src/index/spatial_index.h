@@ -153,6 +153,13 @@ class SpatialIndex {
   // back to a full rebuild for static indexes.
   virtual bool SupportsUpdates() const { return false; }
 
+  // An independent copy that answers every query as this index does and
+  // takes updates on its own, or nullptr when the type cannot copy
+  // itself; callers then Build() a second instance instead. Reads the
+  // index only, so it may run beside concurrent readers that pass their
+  // own QueryStats.
+  virtual std::unique_ptr<SpatialIndex> Clone() const { return nullptr; }
+
   virtual size_t SizeBytes() const = 0;
 
   // The built-in accumulator fed by stats-less calls above.

@@ -24,16 +24,17 @@ VersionedIndex::VersionedIndex(IndexFactory factory, const Dataset& data,
   num_points_.store(data_.points.size(), std::memory_order_relaxed);
   epoch_domain_ = opts_.epoch_domain != nullptr ? opts_.epoch_domain
                                           : &EpochDomain::Global();
+  inst_[0] = factory_();
+  inst_[0]->Build(data_, last_workload_, build_opts_);
+  inst_[1] = CopyOf(*inst_[0]);
   for (int s = 0; s < 2; ++s) {
-    inst_[s] = factory_();
-    inst_[s]->Build(data_, last_workload_, build_opts_);
     drained_[s] = std::make_shared<std::atomic<bool>>(true);
   }
   supports_updates_ = inst_[0]->SupportsUpdates();
   live_slot_ = 1;   // so the first publish flips to slot 0
   PublishShadow();  // version 1 goes live on inst_[0]
-  // Both instances were built from the same data, so the unpublished one
-  // is just as current as the published one.
+  // Both instances hold the same data, so the unpublished one is just as
+  // current as the published one.
   applied_through_[1] = version_.load(std::memory_order_relaxed);
 }
 
@@ -162,18 +163,16 @@ SpatialIndex* VersionedIndex::AcquireShadow(bool catch_up) {
   if (stalled) {
     // The parked instance stays readable for whoever still holds its
     // snapshot; it is destroyed once that snapshot drains. A fresh
-    // instance takes the slot, current through data_ (so no catch-up
+    // instance takes the slot, current through version() (so no catch-up
     // replay is needed) — unless the caller is about to rebuild it
-    // anyway.
+    // anyway: static index types and catch_up == false callers rebuild
+    // from data_ next, so they get an empty instance.
     zombies_.push_back(ZombieInstance{std::move(inst_[shadow_slot]),
                                       std::move(drained_[shadow_slot])});
-    inst_[shadow_slot] = factory_();
+    inst_[shadow_slot] =
+        catch_up && supports_updates_ ? CopyOf(*inst_[live_slot_])
+                                      : factory_();
     drained_[shadow_slot] = std::make_shared<std::atomic<bool>>(true);
-    // Static index types and catch_up == false callers rebuild from data_
-    // next anyway; skip the interim build for those.
-    if (catch_up && supports_updates_) {
-      inst_[shadow_slot]->Build(data_, last_workload_, build_opts_);
-    }
     // relaxed: single-writer read of our own version counter.
     applied_through_[shadow_slot] = version_.load(std::memory_order_relaxed);
     const uint64_t stalled_min =
@@ -199,8 +198,9 @@ SpatialIndex* VersionedIndex::AcquireShadow(bool catch_up) {
   const uint64_t cur = version_.load(std::memory_order_relaxed);
   if (applied_through_[shadow_slot] < last_rebuild_version_) {
     // Missed a rebuild; replaying ops would restore content but not the
-    // re-optimized layout, so re-level from the authoritative set.
-    index->Build(data_, last_workload_, build_opts_);
+    // re-optimized layout. The drained instance is replaced outright.
+    inst_[shadow_slot] = CopyOf(*inst_[live_slot_]);
+    index = inst_[shadow_slot].get();
   } else {
     for (const auto& [version, ops] : recent_batches_) {
       if (version > applied_through_[shadow_slot]) {
@@ -214,6 +214,20 @@ SpatialIndex* VersionedIndex::AcquireShadow(bool catch_up) {
   while (!recent_batches_.empty() &&
          recent_batches_.front().first <= min_applied) {
     recent_batches_.pop_front();
+  }
+  return index;
+}
+
+std::unique_ptr<SpatialIndex> VersionedIndex::CopyOf(
+    const SpatialIndex& source) const {
+  // A build from data_ with the same workload and seed would give the
+  // same index as `source` at construction and right after a rebuild, and
+  // an equally current one otherwise; a copy costs far less. Copying only
+  // reads `source`, which readers may be querying meanwhile.
+  std::unique_ptr<SpatialIndex> index = source.Clone();
+  if (index == nullptr) {
+    index = factory_();
+    index->Build(data_, last_workload_, build_opts_);
   }
   return index;
 }

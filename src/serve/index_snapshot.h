@@ -1,17 +1,18 @@
 // Snapshot-swapped index versioning: the concurrency backbone of the
 // serving engine.
 //
-// A VersionedIndex owns two instances of one index type built over the
-// same data (a left-right pair). Exactly one instance is published at a
-// time, wrapped in an immutable IndexSnapshot behind an atomic raw
-// pointer. Readers call Acquire() and run any number of queries on the
-// snapshot without further synchronization — the query path of
-// SpatialIndex is const and takes explicit QueryStats, so concurrent reads
-// are data-race free. Snapshot lifetime is epoch-based (serve/epoch.h):
-// Acquire stamps the reader's per-thread epoch slot (a store to memory the
-// reader owns — no contended refcount), and a superseded snapshot parks on
-// the domain's limbo list until every stamped reader has moved past its
-// retire epoch.
+// A VersionedIndex owns two instances of one index type over the same
+// data (a left-right pair; the second starts as a Clone() of the first
+// where the type has one, else as a second build). Exactly one instance
+// is published at a time, wrapped in an immutable IndexSnapshot behind an
+// atomic raw pointer. Readers call Acquire() and run any number of
+// queries on the snapshot without further synchronization — the query
+// path of SpatialIndex is const and takes explicit QueryStats, so
+// concurrent reads are data-race free. Snapshot lifetime is epoch-based
+// (serve/epoch.h): Acquire stamps the reader's per-thread epoch slot (a
+// store to memory the reader owns — no contended refcount), and a
+// superseded snapshot parks on the domain's limbo list until every
+// stamped reader has moved past its retire epoch.
 //
 // A single writer applies batched Insert/Remove ops to the *unpublished*
 // instance, publishes it with a new version, and lets the previous
@@ -29,9 +30,11 @@
 // publish only up to `writer_stall_ms`. Past that deadline the writer
 // stops waiting, retires the parked instance to a zombie list (readers
 // keep scanning it untouched; it is destroyed once its snapshot finally
-// drains) and builds a fresh replacement instance from the authoritative
-// point set — copy-on-stall. The stall therefore costs one O(shard)
-// build instead of unbounded writer (and migration-capture) delay.
+// drains) and puts a fresh replacement in its slot — copy-on-stall: a
+// Clone() of the live instance, or for index types without one a build
+// from the authoritative point set. The stall therefore costs one
+// O(shard) copy or build instead of unbounded writer (and
+// migration-capture) delay.
 
 #ifndef WAZI_SERVE_INDEX_SNAPSHOT_H_
 #define WAZI_SERVE_INDEX_SNAPSHOT_H_
@@ -213,11 +216,12 @@ struct VersionedIndexOptions {
   bool track_points = false;
   // Copy-on-stall deadline: how long the writer waits for a retired
   // snapshot to drain before it stops waiting, retires the parked
-  // instance (readers keep it until their snapshot releases) and builds a
-  // fresh replacement from the authoritative point set. Bounds the writer
-  // stall a parked reader can cause — including a migration's capture
-  // phase — at the price of an O(shard) build per fallback. <= 0 waits
-  // forever (the pre-fallback behaviour).
+  // instance (readers keep it until their snapshot releases) and puts a
+  // fresh replacement in its slot (a copy of the live instance, or a build
+  // from the authoritative point set). Bounds the writer stall a parked
+  // reader can cause — including a migration's capture phase — at the
+  // price of an O(shard) copy or build per fallback. <= 0 waits forever
+  // (the pre-fallback behaviour).
   int writer_stall_ms = 250;
   // Registry-backed observability handles (obs/metrics.h), all optional:
   // nullptr simply skips the publication (standalone / test construction
@@ -321,12 +325,17 @@ class VersionedIndex {
   };
   // Waits (up to opts_.writer_stall_ms) for the shadow instance's last
   // snapshot to drain, then brings the instance up to date with every
-  // batch it missed (or rebuilds it outright if a rebuild superseded
-  // those batches). On a stall timeout the parked instance moves to
-  // zombies_ and a fresh instance takes the slot (built from data_ unless
-  // catch_up is false — then the caller builds it). Pass catch_up = false
-  // when the caller rebuilds the instance from data_ anyway.
+  // batch it missed (or replaces it with a copy of the live instance if a
+  // rebuild superseded those batches). On a stall timeout the parked
+  // instance moves to zombies_ and a copy of the live instance takes the
+  // slot (an empty instance if catch_up is false — then the caller
+  // builds it). Pass catch_up = false when the caller rebuilds the
+  // instance from data_ anyway.
   SpatialIndex* AcquireShadow(bool catch_up = true);
+  // A new instance equal to `source`, which must hold exactly data_ (the
+  // live instance before a batch touches data_): its Clone(), or a build
+  // from data_ for index types without one.
+  std::unique_ptr<SpatialIndex> CopyOf(const SpatialIndex& source) const;
   // Destroys every retired instance whose snapshot has drained.
   void ReapZombies();
   // Wraps the shadow in a new snapshot and swaps it live.

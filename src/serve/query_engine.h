@@ -12,10 +12,10 @@
 #include <vector>
 
 #include "common/thread_annotations.h"
+#include "common/thread_pool.h"
 #include "index/spatial_index.h"
 #include "obs/metrics.h"
 #include "serve/sharded_index.h"
-#include "serve/thread_pool.h"
 
 namespace wazi::serve {
 

@@ -188,8 +188,8 @@ TEST(QueryEngineTest, RebuildKeepsContentAndBumpsVersion) {
         << "query " << i;
   }
 
-  // Another batch after the rebuild: the stale instance re-levels from the
-  // authoritative set rather than replaying across the rebuild.
+  // Another batch after the rebuild: the stale instance is replaced by a
+  // copy of the rebuilt one rather than replaying across the rebuild.
   index.ApplyBatch({UpdateOp::Remove(s.data.points[1])});
   QueryStats qs;
   const auto snap = index.Acquire();

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string>
 
 #include "core/lookahead.h"
 #include "core/wazi.h"
@@ -91,6 +94,26 @@ TEST(SerializeTest, RoundTripAfterInserts) {
       ASSERT_EQ(SortedIds(got), TruthIds(augmented, q));
     }
   }
+}
+
+TEST(SerializeTest, SameIndexSavesToTheSameBytes) {
+  // Record padding must not carry memory contents into the file: two
+  // builds of one index save byte-identical files.
+  const TestScenario s = MakeScenario(Region::kCaliNev, 5000, 300, 2e-3, 606);
+  std::string bytes[2];
+  for (int i = 0; i < 2; ++i) {
+    Wazi index;
+    index.Build(s.data, s.workload, SmallOpts());
+    const std::string path =
+        ::testing::TempDir() + "/wazi_same_" + std::to_string(i) + ".bin";
+    ASSERT_TRUE(index.SaveToFile(path));
+    std::ifstream in(path, std::ios::binary);
+    bytes[i].assign(std::istreambuf_iterator<char>(in),
+                    std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+  }
+  ASSERT_FALSE(bytes[0].empty());
+  EXPECT_TRUE(bytes[0] == bytes[1]) << "saved files differ";
 }
 
 TEST(SerializeTest, RejectsCorruptInput) {

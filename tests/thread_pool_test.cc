@@ -1,7 +1,7 @@
 // ThreadPool: task execution, the Wait barrier, concurrent submission,
 // and destructor draining.
 
-#include "serve/thread_pool.h"
+#include "common/thread_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-namespace wazi::serve {
+namespace wazi {
 namespace {
 
 TEST(ThreadPoolTest, RunsEveryTask) {
@@ -83,4 +83,4 @@ TEST(ThreadPoolTest, ClampsToAtLeastOneThread) {
 }
 
 }  // namespace
-}  // namespace wazi::serve
+}  // namespace wazi
