@@ -69,7 +69,6 @@ class ShiftingSkewScenario : public Scenario {
     opts.repartition.patience = 2;
     opts.repartition.min_queries = 256;
     opts.repartition.min_interval_ms = 500;
-    opts.repartition.incremental = true;
     return opts;
   }
 

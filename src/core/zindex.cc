@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/simd.h"
+#include "common/vector_growth.h"
 
 namespace wazi {
 namespace {
@@ -84,7 +85,11 @@ void ZIndex::SetChild(int32_t parent, Quadrant q, int32_t child) {
 void ZIndex::FinishBuild(std::vector<Point> points) {
   build_offsets_.push_back(static_cast<uint32_t>(points.size()));
   store_.BulkLoad(std::move(points), build_offsets_);
-  build_offsets_.clear();
+  // The bulk load grew the node and leaf arrays by doubling; a built index
+  // holds exactly what it uses, like its clone (inserts regrow on demand).
+  std::vector<uint32_t>().swap(build_offsets_);
+  nodes_.shrink_to_fit();
+  dir_.ShrinkToFit();
 }
 
 void ZIndex::BuildLookahead() {
@@ -294,6 +299,7 @@ void ZIndex::SplitLeaf(int32_t node_id, bool maintain_lookahead) {
   }
 
   // The leaf's tree node becomes internal with four fresh leaf nodes.
+  ReserveForAppend(&nodes_, 4);
   for (int q = 0; q < 4; ++q) {
     Node child;
     child.leaf_id = ids[q];

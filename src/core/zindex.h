@@ -52,7 +52,7 @@ class ZIndex {
   void SetChild(int32_t parent, Quadrant q, int32_t child);
   void SetRoot(int32_t node) { root_ = node; }
   // Adopts the clustered point array; `AddLeaf` calls must have covered
-  // exactly [0, points.size()) in curve order.
+  // exactly [0, points.size()) in curve order. Leaves no spare capacity.
   void FinishBuild(std::vector<Point> points);
   // Computes the §5 look-ahead pointers (enables skipping range queries).
   void BuildLookahead();

@@ -32,7 +32,7 @@
 // share) EXCEEDS the fair share beyond a tolerance mark their adjacent
 // cuts as moving; everything a moving cut touches is "changed", the rest
 // can be CARRIED into the next topology verbatim (see ServeLoop's
-// incremental migration path).
+// migration coordinator).
 //
 // Pure decision logic, no threads and no clocks of its own (callers pass
 // timestamps), so it is unit-testable in isolation; ServeLoop owns the
@@ -74,12 +74,11 @@ struct RepartitionOptions {
   double weight_stabs = 1.0;
   double weight_queue = 0.5;
 
-  // --- incremental (per-cell) migration ------------------------------
-  // Migrate only the cells whose cuts actually move, carrying the rest
-  // into the next topology (ServeLoop falls back to a full rebuild when
-  // the plan is infeasible — shard-count change, no dirty cell, or too
-  // many changed cells for carrying to pay off).
-  bool incremental = true;
+  // --- per-cell migration ---------------------------------------------
+  // A migration rebuilds only the cells whose cuts actually move and
+  // carries the rest into the next topology; it changes every cell when
+  // the plan is infeasible (shard-count change, no dirty cell, or too many
+  // changed cells for carrying to pay off).
   // A cell is dirty when its item count (or, with enough traffic, its
   // stab share) exceeds the fair share by more than this fraction.
   // Overload only: cold cells are relieved implicitly when their hot
@@ -91,14 +90,14 @@ struct RepartitionOptions {
   // tolerance, because moving a y-cut invalidates BOTH adjacent rows
   // wholesale.
   double incremental_row_tolerance = 0.5;
-  // Fall back to a full rebuild when more than this fraction of cells
-  // would change anyway.
+  // Change every cell when more than this fraction of cells would change
+  // anyway (0 makes every migration change every cell).
   double incremental_max_changed_fraction = 0.65;
 
   // --- shard-count auto-tuning ---------------------------------------
   // Let the monitor recommend growing/shrinking the shard count
   // (recommended_shards(), consumed via TriggerRepartition(n)). Off by
-  // default: a count change is always a full migration.
+  // default: a count change re-cuts every cell.
   bool auto_shard_count = false;
   int min_shards = 1;
   int max_shards = 32;

@@ -70,10 +70,10 @@ bool ServeLoop::SampleThisQuery() {
          0;
 }
 
-void ServeLoop::FinishMigration(uint64_t old_epoch, uint64_t new_epoch,
-                                int64_t moved_shards, int64_t carried_shards,
-                                int64_t moved_points, bool incremental) {
-  (void)old_epoch;
+void ServeLoop::FinishMigration(uint64_t new_epoch, int64_t moved_shards,
+                                int64_t carried_shards,
+                                int64_t moved_points) {
+  const bool incremental = carried_shards > 0;
   {
     MutexLock lock(&mig_mu_);
     ++mig_.migrations;
@@ -285,21 +285,6 @@ bool ServeLoop::TriggerRepartition(int new_num_shards) {
   return true;
 }
 
-void ServeLoop::RepartitionLocked(int new_num_shards,
-                                  const std::vector<ShardLoad>* window_loads,
-                                  uint64_t window_epoch) {
-  const std::shared_ptr<WriterGen> old_gen = writer_gen_.Load();
-  const int n_old = old_gen->topo->num_shards();
-  const int n_new = new_num_shards > 0 ? new_num_shards : n_old;
-  // The per-cell path applies only when the grid shape survives: same
-  // shard count (a resize re-cuts everything) and more than one shard.
-  if (opts_.repartition.incremental && n_new == n_old && n_old > 1 &&
-      TryIncrementalRepartitionLocked(old_gen, window_loads, window_epoch)) {
-    return;
-  }
-  FullRepartitionLocked(old_gen, n_new);
-}
-
 Workload ServeLoop::MigrationWorkload(const WriterGen& gen) {
   // Router inputs: the recently served per-shard rectangles (the live
   // workload), falling back to the old generation's training slices when
@@ -326,14 +311,14 @@ Workload ServeLoop::MigrationWorkload(const WriterGen& gen) {
 }
 
 void ServeLoop::BeginDualWriteAndCapture(WriterGen& gen,
-                                         const std::vector<bool>* changed) {
-  // From each participating shard's next submit on, ops are logged to its
+                                         const std::vector<bool>& capture) {
+  // From each captured shard's next submit on, ops are logged to its
   // delta as well as applied to the old generation. The capture target
   // pins everything submitted BEFORE dual-write began: those ops are only
   // visible through the captured point set, everything later is (also) in
   // a delta.
   for (size_t s = 0; s < gen.writers.size(); ++s) {
-    if (changed != nullptr && !(*changed)[s]) continue;
+    if (!capture[s]) continue;
     ShardWriter& w = *gen.writers[s];
     {
       MutexLock lock(&w.queue_mu);
@@ -348,14 +333,14 @@ void ServeLoop::BeginDualWriteAndCapture(WriterGen& gen,
 }
 
 std::vector<Point> ServeLoop::AwaitCaptures(WriterGen& gen,
-                                            const std::vector<bool>* changed) {
-  // Each participating old writer copies its authoritative point set once
-  // it has applied through its capture target. Bounded by writer
-  // progress, which is bounded by writer_stall_ms even under a parked
-  // reader snapshot (copy-on-stall).
+                                            const std::vector<bool>& capture) {
+  // Each captured old writer copies its authoritative point set once it
+  // has applied through its capture target. Bounded by writer progress,
+  // which is bounded by writer_stall_ms even under a parked reader
+  // snapshot (copy-on-stall).
   std::vector<Point> points;
   for (size_t s = 0; s < gen.writers.size(); ++s) {
-    if (changed != nullptr && !(*changed)[s]) continue;
+    if (!capture[s]) continue;
     ShardWriter& w = *gen.writers[s];
     MutexLock lock(&w.queue_mu);
     while (!w.capture_done) w.capture_cv.Wait(w.queue_mu);
@@ -368,7 +353,7 @@ std::vector<Point> ServeLoop::AwaitCaptures(WriterGen& gen,
 }
 
 size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
-                              const std::vector<bool>* changed,
+                              const std::vector<bool>& capture,
                               size_t batch_limit) {
   // Drain delta chunks into the new generation (routed through the NEW
   // router) while the old generation still accepts submits, so the final
@@ -380,7 +365,7 @@ size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
   for (int round = 0; round < 8; ++round) {
     size_t moved_ops = 0;
     for (size_t s = 0; s < old_gen.writers.size(); ++s) {
-      if (changed != nullptr && !(*changed)[s]) continue;
+      if (!capture[s]) continue;
       ShardWriter& w = *old_gen.writers[s];
       chunk.clear();
       {
@@ -398,187 +383,110 @@ size_t ServeLoop::DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
   return total_ops;
 }
 
-void ServeLoop::FullRepartitionLocked(
-    const std::shared_ptr<WriterGen>& old_gen, int n_new) {
+ServeLoop::MigrationPlan ServeLoop::PlanMigration(
+    const WriterGen& gen, int n_new,
+    const std::vector<ShardLoad>* window_loads, uint64_t window_epoch) const {
+  const ShardTopology& topo = *gen.topo;
+  const int n_old = topo.num_shards();
+  MigrationPlan plan;
+  // The per-cell recut applies only when the grid shape survives: same
+  // shard count (a resize re-cuts everything) and more than one shard.
+  if (n_new == n_old && n_old > 1) {
+    // Stab inputs must match what armed the trigger: the monitor judges
+    // per-interval DELTAS, and the generation's lifetime totals would
+    // dilute a late-breaking query skew under a long balanced history
+    // (plan finds nothing → every cell re-cut) or keep a formerly-hot cell
+    // dirty forever. The window must still describe THIS generation — a
+    // concurrent TriggerRepartition may have swapped it since.
+    const bool use_window = window_loads != nullptr &&
+                            window_epoch == gen.epoch &&
+                            window_loads->size() == static_cast<size_t>(n_old);
+    std::vector<ShardLoad> loads(static_cast<size_t>(n_old));
+    for (size_t s = 0; s < loads.size(); ++s) {
+      loads[s].items = topo.shards[s]->num_points();
+      loads[s].query_stabs =
+          use_window ? (*window_loads)[s].query_stabs
+                     // relaxed: pure statistic sampled for planning.
+                     : gen.writers[s]->query_stabs.load(
+                           std::memory_order_relaxed);
+    }
+    plan.recut = PlanIncrementalRecut(topo.router.rows(), topo.router.cols(),
+                                      loads, opts_.repartition);
+  }
+  if (plan.recut.feasible) {
+    plan.capture = plan.recut.changed;
+    plan.changed = plan.recut.changed;
+  } else {
+    plan.capture.assign(static_cast<size_t>(n_old), true);
+    plan.changed.assign(static_cast<size_t>(n_new), true);
+  }
+  return plan;
+}
+
+void ServeLoop::RepartitionLocked(int new_num_shards,
+                                  const std::vector<ShardLoad>* window_loads,
+                                  uint64_t window_epoch) {
+  const std::shared_ptr<WriterGen> old_gen = writer_gen_.Load();
   const ShardTopology& old_topo = *old_gen->topo;
+  const int n_old = old_topo.num_shards();
+  const int n_new = new_num_shards > 0 ? new_num_shards : n_old;
+
+  // --- PLAN --------------------------------------------------------------
+  const MigrationPlan plan =
+      PlanMigration(*old_gen, n_new, window_loads, window_epoch);
+  const int changed_n = static_cast<int>(
+      std::count(plan.changed.begin(), plan.changed.end(), true));
+  const int carried_n = n_new - changed_n;
   const uint64_t target_epoch = old_topo.epoch + 1;
   journal_.Record(obs::TraceEventKind::kMigrationPlan, target_epoch,
-                  /*shard=*/-1, /*moved=*/n_new, /*carried=*/0,
-                  /*incremental=*/0);
+                  /*shard=*/-1, /*moved=*/changed_n, /*carried=*/carried_n,
+                  /*incremental=*/carried_n > 0 ? 1 : 0);
 
-  // --- DUAL-WRITE + CAPTURE (every shard) --------------------------------
-  BeginDualWriteAndCapture(*old_gen, /*changed=*/nullptr);
-  std::vector<Point> points = AwaitCaptures(*old_gen, /*changed=*/nullptr);
+  // --- DUAL-WRITE + CAPTURE (captured old shards) ------------------------
+  // Carried shards never dual-write: their live VersionedIndex moves to
+  // the new generation as-is, so every op applied to them is carried too.
+  BeginDualWriteAndCapture(*old_gen, plan.capture);
+  std::vector<Point> points = AwaitCaptures(*old_gen, plan.capture);
   journal_.Record(obs::TraceEventKind::kMigrationCapture, target_epoch,
                   /*shard=*/-1, static_cast<int64_t>(points.size()));
 
-  // --- BUILD -------------------------------------------------------------
+  // --- BUILD (changed cells) ---------------------------------------------
   // Router inputs: the captured points and the recent live workload. The
   // old generation keeps serving reads and writes throughout.
   const Workload recent = MigrationWorkload(*old_gen);
   Rect domain = old_topo.domain;
   for (const Point& p : points) domain.Expand(p);
-
+  ShardRouter router;
+  if (plan.recut.feasible) {
+    router.BuildMovedCuts(old_topo.router, plan.recut.y_cut_moves,
+                          plan.recut.x_cut_moves, points, domain, &recent);
+  } else {
+    router.Build(points, n_new, domain, &recent);
+  }
+  std::shared_ptr<ShardTopology> new_topo =
+      index_.BuildTopology(&old_topo, std::move(router), plan.changed, points,
+                           recent, domain, target_epoch);
   const int64_t moved_points = static_cast<int64_t>(points.size());
-  std::shared_ptr<ShardTopology> new_topo = index_.BuildNextTopology(
-      points, recent, n_new, domain, old_topo.epoch + 1,
-      /*version_base=*/0);
   points.clear();
   points.shrink_to_fit();
-  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo);
+  // Carried shards' new writers start GATED: they share their
+  // VersionedIndex with the old generation's writers, which own it until
+  // the old drain below.
+  std::vector<bool> gated(plan.changed.size());
+  for (size_t s = 0; s < gated.size(); ++s) gated[s] = !plan.changed[s];
+  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo, &gated);
 
-  // --- CATCH-UP ----------------------------------------------------------
-  const size_t drained = DrainDeltas(*old_gen, *new_gen, /*changed=*/nullptr,
+  // --- CATCH-UP (captured shards' deltas) --------------------------------
+  const size_t drained = DrainDeltas(*old_gen, *new_gen, plan.capture,
                                      opts_.writer_batch_limit);
   journal_.Record(obs::TraceEventKind::kMigrationCatchUp, target_epoch,
                   /*shard=*/-1, static_cast<int64_t>(drained));
 
   // --- CUTOVER -----------------------------------------------------------
-  // Close every old shard (submitters retry until the new generation is
-  // installed) and take the final delta chunks.
-  std::vector<UpdateOp> final_ops;
-  for (const auto& w : old_gen->writers) {
-    {
-      MutexLock lock(&w->queue_mu);
-      w->closed = true;
-      w->dual_write = false;
-      final_ops.insert(final_ops.end(), w->delta.begin(), w->delta.end());
-      w->delta.clear();
-    }
-    w->queue_cv.NotifyAll();
-  }
-  // Replay the final chunks BEFORE opening the new generation to direct
-  // submits, so per-coordinate op order spans the generations correctly.
-  for (const UpdateOp& op : final_ops) {
-    EnqueueTo(*new_gen, op, opts_.writer_batch_limit);
-  }
-  std::vector<uint64_t> replay_targets(new_gen->writers.size());
-  for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    MutexLock lock(&new_gen->writers[s]->queue_mu);
-    replay_targets[s] = new_gen->writers[s]->submitted;
-  }
-  // Open the flood gates: submits route to the new generation from here.
-  writer_gen_.Store(new_gen);
-
-  // Old writers drain (closed shards accept nothing new, so this
-  // terminates), making the old generation's final state fixed...
-  for (const auto& w : old_gen->writers) {
-    MutexLock lock(&w->queue_mu);
-    while (w->applied != w->submitted) w->flush_cv.Wait(w->queue_mu);
-  }
-  // ...which pins the version base that keeps the facade version monotone
-  // across the swap.
-  new_topo->version_base = old_topo.version();
-  // New writers catch up through the replay before readers see the new
-  // topology: a query re-issued right after the swap observes at least
-  // everything the old generation's final state served.
-  for (size_t s = 0; s < new_gen->writers.size(); ++s) {
-    ShardWriter& w = *new_gen->writers[s];
-    MutexLock lock(&w.queue_mu);
-    while (w.applied < replay_targets[s]) w.flush_cv.Wait(w.queue_mu);
-  }
-  index_.PublishTopology(new_topo);
-  journal_.Record(obs::TraceEventKind::kMigrationCutover, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(final_ops.size()));
-
-  // --- RETIRE ------------------------------------------------------------
-  for (const auto& w : old_gen->writers) {
-    {
-      MutexLock lock(&w->queue_mu);
-      w->stop = true;
-    }
-    w->queue_cv.NotifyAll();
-  }
-  for (const auto& w : old_gen->writers) {
-    if (w->thread.joinable()) w->thread.join();
-  }
-  // The old topology itself is reclaimed once the last reader that pinned
-  // it lets go (its shards' VersionedIndex destructors wait out their
-  // snapshot drains).
-  FinishMigration(old_topo.epoch, target_epoch, /*moved_shards=*/n_new,
-                  /*carried_shards=*/0, moved_points, /*incremental=*/false);
-}
-
-bool ServeLoop::TryIncrementalRepartitionLocked(
-    const std::shared_ptr<WriterGen>& old_gen,
-    const std::vector<ShardLoad>* window_loads, uint64_t window_epoch) {
-  const ShardTopology& old_topo = *old_gen->topo;
-  const ShardRouter& router = old_topo.router;
-  const int n = old_topo.num_shards();
-
-  // --- PLAN --------------------------------------------------------------
-  // Stab inputs must match what armed the trigger: the monitor judges
-  // per-interval DELTAS, so when its window samples are available (and
-  // still describe THIS generation — a concurrent TriggerRepartition may
-  // have swapped it since they were taken) the planner uses those, not
-  // the generation's lifetime totals, which would dilute a late-breaking
-  // query skew under a long balanced history (plan finds nothing →
-  // silent full rebuild) or keep a formerly-hot cell dirty forever.
-  // Manual triggers have no window and fall back to the per-generation
-  // totals. Item counts are always read fresh from the mirrors.
-  const bool use_window = window_loads != nullptr &&
-                          window_epoch == old_gen->epoch &&
-                          window_loads->size() == static_cast<size_t>(n);
-  std::vector<ShardLoad> loads(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    ShardLoad& load = loads[static_cast<size_t>(s)];
-    load.items = old_topo.shards[static_cast<size_t>(s)]->num_points();
-    load.query_stabs =
-        use_window
-            ? (*window_loads)[static_cast<size_t>(s)].query_stabs
-            : old_gen->writers[static_cast<size_t>(s)]
-                  // relaxed: pure statistic sampled for planning.
-                  ->query_stabs.load(std::memory_order_relaxed);
-  }
-  const IncrementalPlan plan =
-      PlanIncrementalRecut(router.rows(), router.cols(), loads,
-                           opts_.repartition);
-  if (!plan.feasible) return false;
-  const uint64_t target_epoch = old_topo.epoch + 1;
-  journal_.Record(obs::TraceEventKind::kMigrationPlan, target_epoch,
-                  /*shard=*/-1, /*moved=*/plan.num_changed(),
-                  /*carried=*/n - plan.num_changed(), /*incremental=*/1);
-
-  // --- DUAL-WRITE + CAPTURE (changed shards only) -------------------------
-  // Carried shards never dual-write: their live VersionedIndex moves to
-  // the new generation as-is, so every op applied to them is carried too.
-  BeginDualWriteAndCapture(*old_gen, &plan.changed);
-  std::vector<Point> moved = AwaitCaptures(*old_gen, &plan.changed);
-  journal_.Record(obs::TraceEventKind::kMigrationCapture, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(moved.size()));
-
-  // --- BUILD (moved boundaries + changed shards only) ---------------------
-  const Workload recent = MigrationWorkload(*old_gen);
-  Rect domain = old_topo.domain;
-  for (const Point& p : moved) domain.Expand(p);
-  ShardRouter new_router;
-  new_router.BuildMovedCuts(router, plan.y_cut_moves, plan.x_cut_moves,
-                            moved, domain, &recent);
-  std::shared_ptr<ShardTopology> new_topo = index_.BuildIncrementalTopology(
-      old_topo, new_router, plan.changed, moved, recent, domain,
-      old_topo.epoch + 1);
-  const int64_t moved_points = static_cast<int64_t>(moved.size());
-  moved.clear();
-  moved.shrink_to_fit();
-  // Carried shards' new writers start GATED: they share their
-  // VersionedIndex with the old generation's writers, which own it until
-  // the old drain below.
-  std::vector<bool> gated(static_cast<size_t>(n));
-  for (int s = 0; s < n; ++s) {
-    gated[static_cast<size_t>(s)] = !plan.changed[static_cast<size_t>(s)];
-  }
-  const std::shared_ptr<WriterGen> new_gen = StartWriters(new_topo, &gated);
-
-  // --- CATCH-UP (changed shards' deltas) ----------------------------------
-  const size_t drained =
-      DrainDeltas(*old_gen, *new_gen, &plan.changed, opts_.writer_batch_limit);
-  journal_.Record(obs::TraceEventKind::kMigrationCatchUp, target_epoch,
-                  /*shard=*/-1, static_cast<int64_t>(drained));
-
-  // --- CUTOVER -------------------------------------------------------------
   // ALL old shards close — carried ones too, so a submitter that loaded
   // the old generation before the swap can never reach an old queue after
-  // its drain (it retries into the successor instead).
+  // its drain (it retries into the successor instead) — and the captured
+  // ones hand over their final delta chunks.
   std::vector<UpdateOp> final_ops;
   for (const auto& w : old_gen->writers) {
     {
@@ -616,13 +524,12 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
   }
   // ...which freezes the old generation's final state. Version base:
   // carried shards keep their (still advancing) version counters, so the
-  // base absorbs only the retiring REBUILT shards' versions — the facade
-  // version stays monotone and tight across the swap.
+  // base absorbs only the retiring captured shards' versions — the facade
+  // version stays monotone and tight across the swap. With every shard
+  // captured this is old_topo.version().
   uint64_t version_base = old_topo.version_base;
-  for (int s = 0; s < n; ++s) {
-    if (plan.changed[static_cast<size_t>(s)]) {
-      version_base += old_topo.shards[static_cast<size_t>(s)]->version();
-    }
+  for (size_t s = 0; s < plan.capture.size(); ++s) {
+    if (plan.capture[s]) version_base += old_topo.shards[s]->version();
   }
   new_topo->version_base = version_base;
   // Single-writer hand-off complete: open the carried shards' gates.
@@ -635,7 +542,8 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
     new_gen->writers[s]->queue_cv.NotifyAll();
   }
   // Rebuilt shards catch up through the replay before readers see the new
-  // topology.
+  // topology: a query re-issued right after the swap observes at least
+  // everything the old generation's final state served.
   for (size_t s = 0; s < new_gen->writers.size(); ++s) {
     if (!plan.changed[s]) continue;
     ShardWriter& w = *new_gen->writers[s];
@@ -646,7 +554,7 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
   journal_.Record(obs::TraceEventKind::kMigrationCutover, target_epoch,
                   /*shard=*/-1, static_cast<int64_t>(final_ops.size()));
 
-  // --- RETIRE --------------------------------------------------------------
+  // --- RETIRE ------------------------------------------------------------
   for (const auto& w : old_gen->writers) {
     {
       MutexLock lock(&w->queue_mu);
@@ -657,11 +565,10 @@ bool ServeLoop::TryIncrementalRepartitionLocked(
   for (const auto& w : old_gen->writers) {
     if (w->thread.joinable()) w->thread.join();
   }
-  const int changed = plan.num_changed();
-  FinishMigration(old_topo.epoch, target_epoch, /*moved_shards=*/changed,
-                  /*carried_shards=*/n - changed, moved_points,
-                  /*incremental=*/true);
-  return true;
+  // The old topology itself is reclaimed once the last reader that pinned
+  // it lets go (its shards' VersionedIndex destructors wait out their
+  // snapshot drains); carried shards live on in the new topology.
+  FinishMigration(target_epoch, changed_n, carried_n, moved_points);
 }
 
 MigrationStats ServeLoop::migration_stats() const {
@@ -729,9 +636,9 @@ void ServeLoop::MonitorLoop() {
                               std::memory_order_relaxed);
         if (go) {
           // 0 = re-cut at the current count; a matured auto-tune streak
-          // recommends the new count, executed as a full migration. The
-          // window samples ride along so the incremental planner judges
-          // the same per-interval stab deltas that armed the trigger.
+          // recommends the new count, which changes every cell. The
+          // window samples ride along so the planner judges the same
+          // per-interval stab deltas that armed the trigger.
           RepartitionLocked(repartition_monitor_.recommended_shards(),
                             &loads, gen->epoch);
           repartition_monitor_.ResetAfterRepartition(

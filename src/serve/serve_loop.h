@@ -29,21 +29,21 @@
 //     watches per-shard load (item counts, query stabs, update-queue
 //     depths) and, when the imbalance crosses a threshold, the loop
 //     executes a live migration — readers never block, writers stall only
-//     for the final hand-off. Migrations are INCREMENTAL whenever the
-//     plan allows: only the cells whose cut boundaries move are captured
-//     and rebuilt, every other shard is CARRIED into the new generation
-//     live (same VersionedIndex, new owner), turning migration cost from
-//     O(total points) into O(points in changed cells). The monitor can
-//     also recommend a new shard COUNT (auto_shard_count: grow on
-//     uniformly hot writer queues, shrink on idle slivers) — a count
-//     change always takes the full pipeline. See the cutover state
-//     machine below and docs/ARCHITECTURE.md.
+//     for the final hand-off. A migration moves only the cells whose cut
+//     boundaries the plan moves: those are captured and rebuilt, every
+//     other shard is CARRIED into the new generation live (same
+//     VersionedIndex, new owner), turning migration cost from O(total
+//     points) into O(points in changed cells). The monitor can also
+//     recommend a new shard COUNT (auto_shard_count: grow on uniformly
+//     hot writer queues, shrink on idle slivers) — a count change
+//     changes every cell. See the cutover state machine below and
+//     docs/ARCHITECTURE.md.
 //
 // Repartition cutover state machine (coordinator = the monitor thread or
-// a TriggerRepartition caller; one migration at a time). The full path
-// treats every shard as CHANGED; the incremental path first plans which
-// cells move (PlanIncrementalRecut) and applies the bracketed steps only
-// to those, while CARRIED shards skip dual-write/capture/build entirely:
+// a TriggerRepartition caller; one migration at a time). A PLAN first
+// decides which cells change (PlanIncrementalRecut at an unchanged count;
+// every cell otherwise); every step below applies to the changed cells,
+// while CARRIED shards skip dual-write/capture/build entirely:
 //
 //   STEADY ──► DUAL-WRITE: every CHANGED shard's writer queue starts
 //              logging submitted ops to a per-shard delta log (ops keep
@@ -55,12 +55,12 @@
 //              changed cell (overlap is fine — replay is idempotent per
 //              SanitizeOps). Carried cells' ops keep applying to their
 //              live shard, which moves to the new generation as-is.
-//   BUILD:     the coordinator cuts the new router (full: fresh quantiles
-//              of all captured points; incremental: only the flagged
-//              boundaries re-place, between their kept neighbours) and
-//              builds the CHANGED cells' VersionedIndex shards in the
-//              background. The old generation keeps serving reads AND
-//              writes.
+//   BUILD:     the coordinator cuts the new router (only the plan's
+//              flagged boundaries re-place, between their kept
+//              neighbours; with every cell changed, fresh quantiles of
+//              all captured points) and builds the CHANGED cells'
+//              VersionedIndex shards in the background. The old
+//              generation keeps serving reads AND writes.
 //   CATCH-UP:  changed shards' delta chunks drain into the new
 //              generation's writer queues (routed through the NEW router)
 //              until the backlog is small.
@@ -159,7 +159,7 @@ struct ServeOptions {
 // independently-read atomics used to allow torn mixes mid-publication.
 struct MigrationStats {
   int64_t migrations = 0;        // completed migrations (== repartitions())
-  int64_t incremental = 0;       // of those, per-cell (carried) migrations
+  int64_t incremental = 0;       // of those, migrations that carried shards
   int64_t last_moved_shards = 0;   // shards rebuilt by the last migration
   int64_t last_carried_shards = 0; // shards carried by the last migration
   int64_t last_moved_points = 0;   // points captured+rebuilt last time
@@ -217,12 +217,11 @@ class ServeLoop {
 
   // --- topology adaptation ---
   // Executes one live migration to a freshly cut topology, on the calling
-  // thread. With `new_num_shards` == 0 (keep the count) and
-  // repartition.incremental on, the coordinator first tries the PER-CELL
-  // path: only shards whose cut boundaries the plan moves are captured
-  // and rebuilt, the rest are carried into the new topology live (see the
-  // state machine above). Infeasible plans — count change, balanced
-  // tiling, or nearly everything moving — fall back to the full pipeline.
+  // thread. With `new_num_shards` == 0 (keep the count) the coordinator
+  // plans PER CELL: only shards whose cut boundaries the plan moves are
+  // captured and rebuilt, the rest are carried into the new topology live
+  // (see the state machine above). A count change, a balanced tiling or
+  // nearly everything moving changes every cell instead.
   // Returns false without migrating when the loop is stopping.
   // Serialized: concurrent calls run one migration after another. Reader
   // backpressure on the capture phase is bounded by writer_stall_ms.
@@ -244,7 +243,7 @@ class ServeLoop {
   int64_t repartitions() const {
     return repartitions_.load(std::memory_order_acquire);
   }
-  // Migration-coordinator counters: incremental vs full migrations,
+  // Migration-coordinator counters: migrations and how many carried,
   // moved/carried shards and moved points of the last migration, and the
   // writer copy-on-stall fallback count. One sequence point (see
   // MigrationStats above).
@@ -351,7 +350,7 @@ class ServeLoop {
 
   // Creates writers (threads running) for `topo`. `gated`, when non-null,
   // marks per-shard writers that start with their hand-off gate closed
-  // (carried shards of an incremental migration).
+  // (the carried shards of a migration).
   std::shared_ptr<WriterGen> StartWriters(std::shared_ptr<ShardTopology> topo,
                                           const std::vector<bool>* gated =
                                               nullptr);
@@ -379,43 +378,49 @@ class ServeLoop {
   // input of a migration); falls back to the old generation's training
   // slices when live traffic has been thin.
   static Workload MigrationWorkload(const WriterGen& gen);
-  // Migration phase steps shared by the full and incremental paths;
-  // `changed` == nullptr means every shard (the full path), else only
-  // shards with changed[s] participate. One protocol, one
-  // implementation — the paths differ only in which shards they touch.
+  // What one migration moves. `capture` flags the OLD shards that
+  // dual-write and hand over their points (sized to the old count);
+  // `changed` flags the NEW cells built from those points (sized to the
+  // new count). A new cell that is not changed carries the old shard with
+  // the same id. At an unchanged count the two vectors are equal; a count
+  // change captures every old shard and changes every new cell.
+  // `recut.feasible` picks how the new router is cut after capture: only
+  // the recut's flagged boundaries move (BuildMovedCuts), else fresh
+  // equi-depth cuts at the new count.
+  struct MigrationPlan {
+    IncrementalPlan recut;
+    std::vector<bool> capture;
+    std::vector<bool> changed;
+  };
+  // Plans the migration of `gen` to `n_new` shards. At an unchanged count
+  // of more than one shard it asks PlanIncrementalRecut which cells move;
+  // its stab inputs come from `window_loads` when they describe gen's
+  // epoch (the monitor's per-interval deltas that armed the trigger), else
+  // from the generation's cumulative totals (a manual TriggerRepartition
+  // has no window). Item counts are always read fresh from the mirrors.
+  // Anything else — a count change, one shard, an infeasible recut —
+  // changes every cell.
+  MigrationPlan PlanMigration(const WriterGen& gen, int n_new,
+                              const std::vector<ShardLoad>* window_loads,
+                              uint64_t window_epoch) const;
+  // Migration phase steps over the old shards with capture[s] set.
   static void BeginDualWriteAndCapture(WriterGen& gen,
-                                       const std::vector<bool>* changed);
+                                       const std::vector<bool>& capture);
   static std::vector<Point> AwaitCaptures(WriterGen& gen,
-                                          const std::vector<bool>* changed);
+                                          const std::vector<bool>& capture);
   // Returns the total number of delta ops replayed into `new_gen` (the
   // kMigrationCatchUp attribution).
   static size_t DrainDeltas(WriterGen& old_gen, WriterGen& new_gen,
-                            const std::vector<bool>* changed,
+                            const std::vector<bool>& capture,
                             size_t batch_limit);
-  // One migration (caller holds repartition_mu_): tries the incremental
-  // per-cell path when eligible, else runs the full rebuild pipeline.
-  // `window_loads`, when given, are the monitor's per-interval load
-  // samples (stab DELTAS, not lifetime totals) for the generation with
-  // epoch `window_epoch` — the planner prefers them so a late-breaking
-  // query skew is not diluted by the generation's balanced history.
+  // Runs one migration (caller holds repartition_mu_): plan → dual-write
+  // and capture → build → catch-up → gated cutover → retire. `window_loads`,
+  // when given, are the monitor's per-interval load samples for the
+  // generation with epoch `window_epoch` (see PlanMigration).
   void RepartitionLocked(int new_num_shards,
                          const std::vector<ShardLoad>* window_loads = nullptr,
                          uint64_t window_epoch = 0)
       REQUIRES(repartition_mu_);
-  // The per-cell path: plan → capture changed cells only → recut moved
-  // boundaries → carry/rebuild → gated cutover. Returns false (without
-  // migrating) when the plan is infeasible. Stab inputs come from
-  // `window_loads` when they match old_gen's epoch; a manual
-  // TriggerRepartition has no sampling window and falls back to the
-  // generation's cumulative stab totals (items are always read fresh
-  // from the authoritative mirrors).
-  bool TryIncrementalRepartitionLocked(
-      const std::shared_ptr<WriterGen>& old_gen,
-      const std::vector<ShardLoad>* window_loads, uint64_t window_epoch)
-      REQUIRES(repartition_mu_);
-  // The original whole-topology pipeline.
-  void FullRepartitionLocked(const std::shared_ptr<WriterGen>& old_gen,
-                             int n_new) REQUIRES(repartition_mu_);
   void MonitorLoop() EXCLUDES(monitor_mu_, repartition_mu_);
   // Builds the sharded-index options with the obs handles wired in
   // (called from the ctor init list — metrics_/journal_ are initialized
@@ -424,9 +429,9 @@ class ServeLoop {
   // Folds one completed migration into mig_ + the registry mirrors, all
   // under mig_mu_ (the single sequence point migration_stats() relies
   // on), and emits the kMigrationRetire journal event.
-  void FinishMigration(uint64_t old_epoch, uint64_t new_epoch,
-                       int64_t moved_shards, int64_t carried_shards,
-                       int64_t moved_points, bool incremental)
+  // A migration that carried at least one shard counts as incremental.
+  void FinishMigration(uint64_t new_epoch, int64_t moved_shards,
+                       int64_t carried_shards, int64_t moved_points)
       EXCLUDES(mig_mu_);
   // True every obs.trace_sample_every-th direct query (false at rate 0).
   bool SampleThisQuery();

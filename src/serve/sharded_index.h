@@ -155,7 +155,7 @@ class ShardRouter {
 struct ShardedIndexOptions {
   int num_shards = 1;
   // Applied to every shard; the per-shard observability attribution
-  // (shard_id, epoch) is stamped by the topology builders, so callers set
+  // (shard_id, epoch) is stamped by the topology builder, so callers set
   // only the shared fields (handles, stall deadline, track_points).
   VersionedIndexOptions versioned;
   // Optional metrics registry: when set, the facade publishes the current
@@ -172,8 +172,8 @@ struct ShardedIndexOptions {
 // pin a topology with one atomic shared_ptr load; a repartition publishes
 // a successor with epoch + 1 and lets the old generation drain.
 //
-// Shards are shared_ptr-owned because an INCREMENTAL migration CARRIES
-// shards whose cell did not move: the successor topology references the
+// Shards are shared_ptr-owned because a migration CARRIES shards whose
+// cell did not move: the successor topology references the
 // same live VersionedIndex while the retiring topology (still pinned by
 // in-flight readers) keeps its own reference. A carried shard's
 // VersionedIndex is therefore never rebuilt, captured or dual-written —
@@ -233,7 +233,7 @@ struct ShardProjection {
 // of threads concurrently. Mutations go through shard(s)'s single-writer
 // API — one writer thread PER SHARD of the CURRENT topology (that is the
 // scaling point: per-shard writers make update throughput scale with
-// cores). BuildNextTopology may run on any thread; PublishTopology must be
+// cores). BuildTopology may run on any thread; PublishTopology must be
 // serialized by the caller (ServeLoop's repartition coordinator).
 class ShardedVersionedIndex {
  public:
@@ -255,30 +255,22 @@ class ShardedVersionedIndex {
     return topology_.Load();
   }
 
-  // Builds (but does not publish) the successor topology from `points` and
-  // `workload` with this facade's factory/build options: routes the points
-  // through a freshly cut router, builds every shard's VersionedIndex, and
-  // stamps `epoch`. Expensive — run it in the background while the current
-  // topology keeps serving. `domain` is the new generation's query domain.
-  std::shared_ptr<ShardTopology> BuildNextTopology(
-      const std::vector<Point>& points, const Workload& workload,
-      int num_shards, const Rect& domain, uint64_t epoch,
-      uint64_t version_base) const;
-
-  // The incremental sibling of BuildNextTopology: builds (but does not
-  // publish) a successor of `old_topo` with `new_router` (a BuildMovedCuts
-  // product over the same grid), CARRYING every shard with
-  // changed[s] == false (the successor references the same VersionedIndex)
-  // and rebuilding only the changed shards from `moved_points` (the union
-  // of the changed cells' captured point sets, routed through the new
-  // router). version_base starts at 0 — the migration coordinator stamps
-  // it after the old generation quiesces. Workload slices are recomputed
-  // for every cell from `workload`.
-  std::shared_ptr<ShardTopology> BuildIncrementalTopology(
-      const ShardTopology& old_topo, const ShardRouter& new_router,
-      const std::vector<bool>& changed,
-      const std::vector<Point>& moved_points, const Workload& workload,
-      const Rect& domain, uint64_t epoch) const;
+  // Builds (but does not publish) a topology routed by `router`: every
+  // cell with changed[s] is built from the `points` that route into it,
+  // and every other cell CARRIES shard s of `old_topo` (the new topology
+  // references the same live VersionedIndex). `changed` is sized to the
+  // router's shard count; with no `old_topo` every cell must be changed.
+  // Carrying needs a router over the same grid whose changed cells cover
+  // the same region as before (a BuildMovedCuts product), and `points`
+  // holding exactly the points of the changed cells. Every cell's workload
+  // slice is recomputed from `workload`. version_base starts at 0: the
+  // caller stamps it once the old generation is quiescent. Expensive — a
+  // migration runs it in the background while the current topology keeps
+  // serving. `domain` is the new generation's query domain.
+  std::shared_ptr<ShardTopology> BuildTopology(
+      const ShardTopology* old_topo, ShardRouter router,
+      const std::vector<bool>& changed, const std::vector<Point>& points,
+      const Workload& workload, const Rect& domain, uint64_t epoch) const;
 
   // Atomically swaps the published topology. Readers acquire the new one
   // from here on; in-flight queries finish on whichever they pinned. The
@@ -429,14 +421,6 @@ class ShardedVersionedIndex {
   static const IndexSnapshot* SnapFor(
       const ShardTopology& topo, int s, const SnapshotSet* snaps,
       SnapshotRef* owned);
-
-  // Shared by the constructor and BuildNextTopology.
-  static std::shared_ptr<ShardTopology> MakeTopology(
-      const IndexFactory& factory, const BuildOptions& build_opts,
-      const VersionedIndexOptions& vopts, const std::string& data_name,
-      const std::vector<Point>& points, const Workload& workload,
-      int num_shards, const Rect& domain, uint64_t epoch,
-      uint64_t version_base);
 
   IndexFactory factory_;
   BuildOptions build_opts_;

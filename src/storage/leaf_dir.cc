@@ -1,5 +1,7 @@
 #include "storage/leaf_dir.h"
 
+#include "common/vector_growth.h"
+
 namespace wazi {
 
 void LeafDir::Clear() {
@@ -40,6 +42,7 @@ int32_t LeafDir::InsertAfter(int32_t pos, const Rect& cell, const Rect& mbr,
   const int64_t hi =
       (nxt == kInvalidLeaf) ? lo + 2 * kOrdGap : leaves_[nxt].ord;
   rec.ord = lo + (hi - lo) / 2;
+  ReserveForAppend(&leaves_, 1);
   leaves_.push_back(rec);
   leaves_[pos].next = id;
   if (nxt != kInvalidLeaf) {

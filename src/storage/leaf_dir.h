@@ -56,6 +56,9 @@ class LeafDir {
 
   void Clear();
 
+  // Drops spare capacity left by the bulk load's appends.
+  void ShrinkToFit() { leaves_.shrink_to_fit(); }
+
   // Appends a leaf at the end of the list (bulk load path). Assigns ord.
   int32_t Append(const Rect& cell, const Rect& mbr, int32_t page);
 

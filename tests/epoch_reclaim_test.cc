@@ -3,7 +3,8 @@
 // / copy-on-stall interplay (a stamped-but-idle reader must trigger the
 // writer's stall fallback, never block reclamation of pre-stamp limbo or
 // writer progress), non-blocking VersionedIndex destruction with a reader
-// still parked, and a multi-thread stress across forced repartitions.
+// still parked, and a multi-thread stress across forced repartitions,
+// full and per-cell (carried shards outlive the topology that built them).
 // Every test here must stay clean under TSan and ASan/UBSan — the CI
 // sanitizer jobs run this binary — and the accounting invariant
 // (retired == reclaimed + limbo at every step) is checked explicitly, so
@@ -352,25 +353,99 @@ TEST(EpochReclaimTest, StressAcrossForcedRepartitions) {
       });
     }
 
+    // A full re-cut at `n` shards: every cell is rebuilt.
+    const auto full_recut = [&](const ShardTopology& old_topo, int n) {
+      ShardRouter router;
+      router.Build(data.points, n, old_topo.domain, &workload);
+      auto next = index.BuildTopology(
+          &old_topo, std::move(router),
+          std::vector<bool>(static_cast<size_t>(n), true), data.points,
+          workload, old_topo.domain, old_topo.epoch + 1);
+      next->version_base = old_topo.version();
+      return next;
+    };
+    // A per-cell re-cut that re-places x-cut `c` of row `r`: its two cells
+    // are rebuilt from their own points, every other shard is carried.
+    const auto carrying_recut = [&](const ShardTopology& old_topo, int r,
+                                    int c) {
+      const ShardRouter& old_router = old_topo.router;
+      const int rows = old_router.rows();
+      const int cols = old_router.cols();
+      std::vector<bool> y_moves(static_cast<size_t>(rows - 1), false);
+      std::vector<std::vector<bool>> x_moves(
+          static_cast<size_t>(rows),
+          std::vector<bool>(static_cast<size_t>(cols - 1), false));
+      x_moves[static_cast<size_t>(r)][static_cast<size_t>(c)] = true;
+      std::vector<bool> changed(static_cast<size_t>(rows * cols), false);
+      changed[static_cast<size_t>(r * cols + c)] = true;
+      changed[static_cast<size_t>(r * cols + c + 1)] = true;
+      std::vector<Point> moved;
+      for (const Point& p : data.points) {
+        if (changed[static_cast<size_t>(old_router.ShardOf(p))]) {
+          moved.push_back(p);
+        }
+      }
+      ShardRouter router;
+      router.BuildMovedCuts(old_router, y_moves, x_moves, moved,
+                            old_topo.domain, &workload);
+      auto next = index.BuildTopology(&old_topo, std::move(router), changed,
+                                      moved, workload, old_topo.domain,
+                                      old_topo.epoch + 1);
+      next->version_base = old_topo.version_base;
+      size_t points = 0;
+      for (size_t sh = 0; sh < changed.size(); ++sh) {
+        points += next->shards[sh]->num_points();
+        if (changed[sh]) {
+          next->version_base += old_topo.shards[sh]->version();
+          EXPECT_NE(next->shards[sh], old_topo.shards[sh]) << "shard " << sh;
+        } else {
+          EXPECT_EQ(next->shards[sh], old_topo.shards[sh]) << "shard " << sh;
+        }
+      }
+      EXPECT_EQ(points, data.points.size());
+      return next;
+    };
+
     // Force repartitions under the readers: each publish retires the old
     // generation's shards into the domain once the last reader moves on —
     // often ON a reader thread, exercising the non-blocking destructor.
+    // Every full re-cut to a grid with a cell to spare is followed by a
+    // per-cell one, whose retiring topology shares all but two shards
+    // with its successor: only the rebuilt pair may be freed, while the
+    // carried shards keep serving readers that pinned either generation.
     const int kRepartitions = 6;
+    int publishes = 0;
+    int carrying_publishes = 0;
     for (int rep = 0; rep < kRepartitions; ++rep) {
-      const auto old_topo = index.AcquireTopology();
-      const int new_shards = 2 + (rep % 3);  // 2 -> 3 -> 4 -> 2 ...
-      auto next = index.BuildNextTopology(data.points, workload, new_shards,
-                                          old_topo->domain, old_topo->epoch + 1,
-                                          index.version());
-      index.PublishTopology(std::move(next));
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      ExpectAccounting(domain);
+      for (const bool carry : {false, true}) {
+        {
+          const auto old_topo = index.AcquireTopology();
+          std::shared_ptr<ShardTopology> next;
+          if (!carry) {
+            next = full_recut(*old_topo, 2 + (rep % 3));  // 2 -> 3 -> 4 ...
+          } else if (old_topo->num_shards() >= 3) {
+            next = carrying_recut(*old_topo, rep % old_topo->router.rows(),
+                                  rep % (old_topo->router.cols() - 1));
+            ++carrying_publishes;
+          } else {
+            break;  // a 1x2 grid's only cut touches both cells
+          }
+          const uint64_t version_before = index.version();
+          index.PublishTopology(std::move(next));
+          ++publishes;
+          EXPECT_GE(index.version(), version_before);
+        }  // the pin drops: the old generation retires with its last reader
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        ExpectAccounting(domain);
+      }
     }
 
     stop.store(true, std::memory_order_relaxed);
     for (std::thread& t : readers) t.join();
     EXPECT_EQ(mismatches.load(), 0);
-    EXPECT_EQ(index.epoch(), 1u + kRepartitions);
+    EXPECT_EQ(index.epoch(), 1u + static_cast<uint64_t>(publishes));
+    EXPECT_EQ(publishes, kRepartitions + carrying_publishes);
+    EXPECT_EQ(carrying_publishes, 4);  // the 3- and 4-shard grids
     EXPECT_GT(domain.retired_total(), 0);
     ExpectAccounting(domain);
   }

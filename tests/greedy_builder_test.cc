@@ -235,6 +235,8 @@ TEST(GreedyBuilderTest, CloneAnswersLikeItsSourceAndStaysApart) {
   EXPECT_EQ(clone->name(), source.name());
   EXPECT_TRUE(clone->SupportsUpdates());
   EXPECT_LE(clone->SizeBytes(), source.SizeBytes());  // no spare capacity
+  // Nor does a fresh build: it holds exactly what its clone holds.
+  EXPECT_EQ(source.SizeBytes(), clone->SizeBytes());
 
   // Same results and the same work, query by query.
   const auto expect_same_answers = [&](const SpatialIndex& a,

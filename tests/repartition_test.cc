@@ -623,6 +623,108 @@ TEST(RepartitionTest, IncrementalMigrationCarriesUnchangedShards) {
             BruteIds(expected, s.data.bounds));
 }
 
+// A balanced tiling at an unchanged count gives the per-cell planner
+// nothing to move, so the migration changes every cell: nothing carried,
+// no incremental count, and — under streaming writes — a facade version
+// that never steps back and membership that stays exact.
+TEST(RepartitionTest, BalancedSameCountMigrationChangesEveryCell) {
+  TestScenario s = MakeScenario(Region::kCaliNev, 5000, 120, 2e-3, 308);
+  s.data = DedupeCoords(s.data);
+
+  ServeOptions opts;
+  opts.num_shards = 4;
+  opts.num_threads = 1;
+  opts.auto_rebuild = false;
+  opts.writer_coalesce_ms = 0;
+  // No training queries: the router's cuts sit at the exact item
+  // quantiles (a workload lets each cut slide off them to dodge queries).
+  Workload untrained;
+  untrained.name = "untrained";
+  untrained.selectivity = s.workload.selectivity;
+  ServeLoop loop(WaziFactory(), s.data, untrained, FastOpts(), opts);
+
+  // The planner sees what the coordinator will: equal item counts and no
+  // query stabs.
+  const std::shared_ptr<ShardTopology> topo1 =
+      loop.sharded_index().AcquireTopology();
+  std::vector<ShardLoad> loads(4);
+  for (size_t sh = 0; sh < loads.size(); ++sh) {
+    loads[sh].items = topo1->shards[sh]->num_points();
+  }
+  ASSERT_FALSE(PlanIncrementalRecut(topo1->router.rows(),
+                                    topo1->router.cols(), loads,
+                                    opts.repartition)
+                   .feasible);
+  const int64_t incremental_before = loop.migration_stats().incremental;
+
+  // Inserts that follow the data's own distribution (a stored point moved
+  // by a hair) keep the tiling balanced while they stream.
+  const size_t n = s.data.points.size();
+  std::vector<Point> inserts;
+  for (size_t i = 0; i < 1500; ++i) {
+    Point p = s.data.points[i * 7919 % n];
+    p.x += 1e-9;
+    p.id = 80000000 + static_cast<int64_t>(i);
+    inserts.push_back(p);
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<size_t> submitted{0};
+  std::thread writer([&] {
+    for (const Point& p : inserts) {
+      if (stop.load(std::memory_order_relaxed)) break;
+      loop.SubmitInsert(p);
+      submitted.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    }
+  });
+  std::atomic<int64_t> decreases{0};
+  std::thread poller([&] {
+    uint64_t last = loop.version();
+    while (!stop.load(std::memory_order_relaxed)) {
+      const uint64_t v = loop.version();
+      if (v < last) decreases.fetch_add(1, std::memory_order_relaxed);
+      last = v;
+    }
+  });
+
+  const uint64_t version_before = loop.version();
+  ASSERT_TRUE(loop.TriggerRepartition());
+  EXPECT_GE(loop.version(), version_before);
+  stop.store(true, std::memory_order_relaxed);
+  writer.join();
+  poller.join();
+  EXPECT_EQ(decreases.load(), 0) << "facade version stepped back";
+
+  const MigrationStats stats = loop.migration_stats();
+  EXPECT_EQ(stats.migrations, 1);
+  EXPECT_EQ(stats.incremental, incremental_before);
+  EXPECT_EQ(stats.last_carried_shards, 0);
+  EXPECT_EQ(stats.last_moved_shards, 4);
+  EXPECT_EQ(loop.epoch(), 2u);
+  EXPECT_EQ(loop.num_shards(), 4);
+  const std::shared_ptr<ShardTopology> topo2 =
+      loop.sharded_index().AcquireTopology();
+  for (size_t sh = 0; sh < 4; ++sh) {
+    for (size_t old = 0; old < 4; ++old) {
+      EXPECT_NE(topo2->shards[sh], topo1->shards[old]) << "shard " << sh;
+    }
+  }
+
+  loop.Flush();
+  std::vector<Point> expected = s.data.points;
+  expected.insert(expected.end(), inserts.begin(),
+                  inserts.begin() + static_cast<std::ptrdiff_t>(
+                                        submitted.load()));
+  EXPECT_EQ(loop.sharded_index().num_points(), expected.size());
+  EXPECT_EQ(SortedIds(loop.Range(s.data.bounds).hits),
+            BruteIds(expected, s.data.bounds));
+  for (size_t i = 0; i < s.workload.queries.size(); i += 3) {
+    const Rect& q = s.workload.queries[i];
+    EXPECT_EQ(SortedIds(loop.Range(q).hits), BruteIds(expected, q))
+        << "query " << i;
+  }
+}
+
 // ROADMAP-named defect regression: a reader that PARKS a snapshot used to
 // stall that shard's writer — and a migration's capture phase — forever.
 // With writer_stall_ms the writer clones past the parked instance; the
